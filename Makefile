@@ -114,10 +114,12 @@ vm-bench-compare:
 vm-smoke:
 	./scripts/vm_smoke.sh
 
-# A short engine-differential fuzz run (the committed corpus replays in
-# plain `go test`; this searches for new divergences).
+# A short engine-differential fuzz run plus a short expander fuzz run (the
+# committed corpus replays in plain `go test`; these search for new
+# divergences, expander panics, and derived forms left in its output).
 vm-fuzz:
 	$(GO) test -run FuzzEngines -fuzz FuzzEngines -fuzztime 15s ./internal/scheme/
+	$(GO) test -run FuzzExpand -fuzz FuzzExpand -fuzztime 15s ./internal/scheme/
 
 # The metric-collection overhead ablation (EXPERIMENTS.md): the remote
 # ping-pong with the per-op latency histograms on vs off.

@@ -87,9 +87,9 @@ func main() {
 				"; threads=%d determined=%d steals=%d switches=%d blocks=%d\n",
 				s.ThreadsCreated, s.ThreadsDetermined, s.Steals,
 				s.VPs.Switches, s.VPs.Blocks)
-			compiled, fallback, ops := stingvm.Stats()
-			fmt.Fprintf(os.Stderr, "; engine=%s compiled=%d fallback=%d ops=%d\n",
-				in.EngineName(), compiled, fallback, ops)
+			compiled, _, ops := stingvm.Stats()
+			fmt.Fprintf(os.Stderr, "; engine=%s compiled=%d ops=%d\n",
+				in.EngineName(), compiled, ops)
 		}
 		m.Shutdown()
 		if *traceOut != "" {

@@ -155,7 +155,6 @@ func TestObsHandlerExposesRequiredFamilies(t *testing.T) {
 		"sting_diag_key_events_total",
 		"sting_diag_recorder_events_total",
 		"sting_vm_compiled_forms_total",
-		"sting_vm_fallback_forms_total",
 		"sting_vm_dispatch_ops_total",
 	} {
 		if !strings.Contains(body, family) {

@@ -7,17 +7,15 @@ import (
 )
 
 // An Engine is an alternative execution strategy for toplevel forms — the
-// bytecode VM is the canonical one. The tree-walker stays the executable
-// reference semantics: an engine may decline any form (handled=false) and
-// the interpreter falls back to Eval on it, so engines only ever need to
-// be correct on the subset they claim.
+// bytecode VM is the canonical one. Engines receive the expander's output,
+// so they implement only the core forms; the tree-walker stays the
+// executable reference semantics the "tree" engine name selects.
 type Engine interface {
 	// Name answers the engine's registry name.
 	Name() string
-	// EvalToplevel evaluates one toplevel datum in the global environment.
-	// handled=false means the engine declines the form and the caller must
-	// fall back to the tree-walker.
-	EvalToplevel(ctx *core.Context, expr Value, env *Env) (v Value, handled bool, err error)
+	// EvalToplevel evaluates one expanded toplevel datum in the global
+	// environment.
+	EvalToplevel(ctx *core.Context, expr Value) (Value, error)
 }
 
 // EngineFactory builds an engine bound to one interpreter.
@@ -55,7 +53,7 @@ func EngineNames() []string {
 }
 
 // WithEngine selects the execution engine by registry name ("tree" for the
-// reference evaluator). Unregistered names fall back to the tree-walker.
+// reference evaluator). Unregistered names select the tree-walker.
 func WithEngine(name string) Option { return func(in *Interp) { in.engineName = name } }
 
 // EngineName answers the active engine's name ("tree" when no engine is
@@ -84,20 +82,24 @@ func (in *Interp) initEngine() {
 	}
 }
 
-// evalToplevel evaluates one toplevel datum through the selected engine,
-// falling back to the tree-walker when the engine declines the form.
+// evalToplevel expands one toplevel datum and evaluates it through the
+// selected engine. EvalString, EvalIn and the eval primitive all come
+// through here.
 func (in *Interp) evalToplevel(ctx *core.Context, d Value) (Value, error) {
-	if in.engine != nil {
-		if v, handled, err := in.engine.EvalToplevel(ctx, d, in.global); handled {
-			return v, err
-		}
+	x, err := Expand(d)
+	if err != nil {
+		return nil, err
 	}
-	return in.Eval(ctx, d, in.global)
+	if in.engine != nil {
+		return in.engine.EvalToplevel(ctx, x)
+	}
+	return in.Eval(ctx, x, in.global)
 }
 
-// IsSpecialForm reports whether head names a special form. The tree-walker
-// consults the form table before the environment, so forms cannot be
-// shadowed by bindings — compilers must mirror that resolution order.
+// IsSpecialForm reports whether head names a core form — one the expander
+// leaves in its output. The tree-walker consults the form table before the
+// environment, so forms cannot be shadowed by bindings — compilers must
+// mirror that resolution order.
 func IsSpecialForm(head Symbol) bool {
 	_, ok := specialForms[head]
 	return ok

@@ -6,22 +6,26 @@
 // The fuzz input is not Scheme source: arbitrary text mostly fails to
 // parse and can trivially loop forever. Instead the bytes drive a
 // generator that only emits *terminating* programs — every loop it
-// writes carries a small literal bound — covering the compiler's whole
-// form repertoire (binding forms, conditionals, bounded named-let and do
-// loops, set!, fluid-let, quasiquote for the fallback path, tuple-space
-// put/get pairs, atomic). Each program runs on a fresh interpreter per
+// writes carries a small literal bound — covering the expander's and the
+// compiler's whole form repertoire (binding forms, body defines interleaved
+// with expressions, conditionals, bounded named-let and do loops, set!,
+// fluid-let, quasiquote nested to depth 2, tuple-space put/get pairs,
+// atomic). Each program runs on a fresh interpreter per
 // engine and the results must agree exactly: value printout, captured
 // output, and error presence + text (thread-id prefixes stripped).
 package scheme_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/scheme"
 	"repro/internal/testkit"
-	_ "repro/internal/vm" // registers the "vm" engine under test
+	"repro/internal/vm" // also registers the "vm" engine under test
 )
 
 // diffGen consumes fuzz bytes as a decision stream. Exhausted input
@@ -70,7 +74,7 @@ func (g *diffGen) expr(depth int, vars []string) string {
 		return g.atom(vars)
 	}
 	sub := func() string { return g.expr(depth-1, vars) }
-	switch g.pick(18) {
+	switch g.pick(21) {
 	case 0: // arithmetic (quotient/modulo included: divide-by-zero must error identically)
 		op := []string{"+", "-", "*", "quotient", "modulo", "min", "max"}[g.pick(7)]
 		return fmt.Sprintf("(%s %s %s)", op, sub(), sub())
@@ -121,7 +125,7 @@ func (g *diffGen) expr(depth int, vars []string) string {
 		inner := append(append([]string{}, vars...), v)
 		return fmt.Sprintf("(let ((%s %s)) (set! %s %s) %s)",
 			v, sub(), v, g.expr(depth-1, inner), v)
-	case 15: // quasiquote: the vm declines it, exercising the fallback seam
+	case 15: // quasiquote: the expander lowers it to embedded primitive calls
 		return fmt.Sprintf("`(a ,%s ,@(list %s))", sub(), sub())
 	case 16: // fluid-let extent + read-back
 		return fmt.Sprintf("(fluid-let ((fz %s)) (fluid 'fz))", sub())
@@ -134,6 +138,20 @@ func (g *diffGen) expr(depth int, vars []string) string {
 			return "(atomic " + body + ")"
 		}
 		return body
+	case 18: // body defines interleaved with expressions, one read before
+		// its init (the letrec* slot is still unspecified there)
+		d, e := fmt.Sprintf("d%d", depth), fmt.Sprintf("e%d", depth)
+		inner := append(append([]string{}, vars...), d)
+		return fmt.Sprintf("((lambda () (define r (list %s)) %s (define %s %s) (set! %s (list %s)) (define %s %s) (list r %s)))",
+			e, sub(), d, sub(), d, d, e, g.expr(depth-1, inner), e)
+	case 19: // let*/letrec chains: the second init sees the first binding
+		a, b := fmt.Sprintf("a%d", depth), fmt.Sprintf("b%d", depth)
+		inner := append(append([]string{}, vars...), a, b)
+		form := []string{"let*", "letrec"}[g.pick(2)]
+		return fmt.Sprintf("(%s ((%s %s) (%s (list %s %s))) %s)", form, a, sub(), b, a, sub(),
+			g.expr(depth-1, inner))
+	case 20: // quasiquote nested to depth 2
+		return fmt.Sprintf("`(x `(y ,(z ,%s ,@(list %s))) ,@(list %s))", sub(), sub(), sub())
 	}
 	return g.atom(vars)
 }
@@ -152,6 +170,55 @@ func (g *diffGen) program() string {
 	}
 	b.WriteString(g.expr(3, nil))
 	return b.String()
+}
+
+// TestVMNeverDeclines: once expanded, every toplevel form of the prelude,
+// the example programs and the committed FuzzEngines corpus compiles —
+// the VM has no fallback to decline into. (parityPrograms get the same
+// check in internal/vm.)
+func TestVMNeverDeclines(t *testing.T) {
+	sources := map[string]string{"prelude": scheme.Prelude}
+	examples, _ := filepath.Glob("../../examples/scheme/*.scm")
+	corpus, _ := filepath.Glob("testdata/fuzz/FuzzEngines/*")
+	if len(examples) == 0 || len(corpus) == 0 {
+		t.Fatalf("found %d examples and %d corpus entries", len(examples), len(corpus))
+	}
+	for _, f := range examples {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[f] = string(b)
+	}
+	for _, f := range corpus {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// go test fuzz v1, then one []byte("...") line.
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		arg := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(arg)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		sources[f] = (&diffGen{data: []byte(data)}).program()
+	}
+	for name, src := range sources {
+		data, err := scheme.ReadAll(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, d := range data {
+			x, err := scheme.Expand(d)
+			if err != nil {
+				t.Fatalf("%s: expand %s: %v", name, scheme.WriteString(d), err)
+			}
+			if _, err := vm.Compile(x); err != nil {
+				t.Fatalf("%s: compile %s: %v", name, scheme.WriteString(d), err)
+			}
+		}
+	}
 }
 
 // stripThreadDiff removes the varying "thread N (name): " error prefix —

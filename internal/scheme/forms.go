@@ -13,28 +13,22 @@ type specialForm func(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tai
 var specialForms map[Symbol]specialForm
 
 func init() {
+	// The core language: Expand lowers every other form before
+	// evaluation (expand.go).
 	specialForms = map[Symbol]specialForm{
-		"quote":      sfQuote,
-		"if":         sfIf,
-		"define":     sfDefine,
-		"set!":       sfSet,
-		"lambda":     sfLambda,
-		"begin":      sfBegin,
-		"let":        sfLet,
-		"let*":       sfLetStar,
-		"letrec":     sfLetrec,
-		"cond":       sfCond,
-		"case":       sfCase,
-		"and":        sfAnd,
-		"or":         sfOr,
-		"when":       sfWhen,
-		"unless":     sfUnless,
-		"do":         sfDo,
-		"delay":      sfDelay,
-		"quasiquote": sfQuasiquote,
-		"named-lambda": func(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-			return sfLambda(in, ctx, form, env)
-		},
+		"quote":   sfQuote,
+		"if":      sfIf,
+		"define":  sfDefine,
+		"set!":    sfSet,
+		"lambda":  sfLambda,
+		"begin":   sfBegin,
+		"let":     sfLet,
+		"letrec*": sfLetrec,
+		"case":    sfCase,
+		"and":     sfAnd,
+		"or":      sfOr,
+		"do":      sfDo,
+		"delay":   sfDelay,
 
 		// STING concurrency forms (operands must not evaluate eagerly).
 		"fork-thread":        sfForkThread,
@@ -48,7 +42,6 @@ func init() {
 		"get":                sfTSGet,
 		"rd":                 sfTSRd,
 		"atomic":             sfAtomic,
-		"block":              sfBegin, // the paper's (block e ...) sequencing form
 	}
 }
 
@@ -78,44 +71,33 @@ func sfIf(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value
 	return nil, Unspecified, nil
 }
 
+// sfDefine is a global define: the expander turns body defines into
+// letrec* and (define (f . params) ...) into a lambda init.
 func sfDefine(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
 	rest, err := forms("define", form.Cdr)
-	if err != nil || len(rest) < 1 {
+	if err != nil || len(rest) < 1 || len(rest) > 2 {
 		return nil, nil, badForm(form)
 	}
-	switch target := rest[0].(type) {
-	case Symbol:
-		var v Value = Unspecified
-		if len(rest) == 2 {
-			v, err = in.Eval(ctx, rest[1], env)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if c, ok := v.(*Closure); ok && c.Name == "" {
-			c.Name = target
-		}
-		env.Define(target, v)
-		return nil, Unspecified, nil
-	case *Pair:
-		// (define (name . params) body...)
-		name, ok := target.Car.(Symbol)
-		if !ok {
-			return nil, nil, badForm(form)
-		}
-		params, restParam, err := parseParams(target.Cdr)
-		if err != nil {
+	target, ok := rest[0].(Symbol)
+	if !ok {
+		return nil, nil, badForm(form)
+	}
+	var v Value = Unspecified
+	if len(rest) == 2 {
+		if v, err = in.Eval(ctx, rest[1], env); err != nil {
 			return nil, nil, err
 		}
-		c := &Closure{Name: name, Params: params, Rest: restParam, Body: rest[1:], Env: env}
-		env.Define(name, c)
-		return nil, Unspecified, nil
-	default:
-		return nil, nil, badForm(form)
 	}
+	if c, ok := v.(*Closure); ok && c.Name == "" {
+		c.Name = target
+	}
+	env.Define(target, v)
+	return nil, Unspecified, nil
 }
 
-func parseParams(v Value) ([]Symbol, Symbol, error) {
+// ParseParams splits a lambda parameter list into its fixed parameters and
+// rest parameter ("" when the arity is fixed). The compiler shares it.
+func ParseParams(v Value) ([]Symbol, Symbol, error) {
 	var params []Symbol
 	for {
 		switch x := v.(type) {
@@ -160,7 +142,7 @@ func sfLambda(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, V
 	if err != nil || len(rest) < 1 {
 		return nil, nil, badForm(form)
 	}
-	params, restParam, err := parseParams(rest[0])
+	params, restParam, err := ParseParams(rest[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,38 +158,12 @@ func sfBegin(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Va
 	return in.evalBody(ctx, body, env)
 }
 
-// sfLet handles both plain let and named let (the paper's loop idiom).
 func sfLet(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
 	rest, err := forms("let", form.Cdr)
 	if err != nil || len(rest) < 1 {
 		return nil, nil, badForm(form)
 	}
-	if name, ok := rest[0].(Symbol); ok {
-		// Named let: (let loop ((v init)...) body...)
-		if len(rest) < 2 {
-			return nil, nil, badForm(form)
-		}
-		names, inits, err := parseBindings(rest[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		args := make([]Value, len(inits))
-		for i, init := range inits {
-			args[i], err = in.Eval(ctx, init, env)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		loopEnv := NewEnv(env)
-		c := &Closure{Name: name, Params: names, Body: rest[2:], Env: loopEnv}
-		loopEnv.Define(name, c)
-		frame, err := bindParams(c, args)
-		if err != nil {
-			return nil, nil, err
-		}
-		return in.evalBody(ctx, c.Body, frame)
-	}
-	names, inits, err := parseBindings(rest[0])
+	names, inits, err := ParseBindings(rest[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -222,34 +178,14 @@ func sfLet(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Valu
 	return in.evalBody(ctx, rest[1:], frame)
 }
 
-func sfLetStar(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-	rest, err := forms("let*", form.Cdr)
-	if err != nil || len(rest) < 1 {
-		return nil, nil, badForm(form)
-	}
-	names, inits, err := parseBindings(rest[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	cur := env
-	for i, init := range inits {
-		v, err := in.Eval(ctx, init, cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		next := NewEnv(cur)
-		next.Define(names[i], v)
-		cur = next
-	}
-	return in.evalBody(ctx, rest[1:], cur)
-}
-
+// sfLetrec is letrec*: every name is bound (unspecified) before the inits
+// run in order, each init's value landing before the next init starts.
 func sfLetrec(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-	rest, err := forms("letrec", form.Cdr)
+	rest, err := forms("letrec*", form.Cdr)
 	if err != nil || len(rest) < 1 {
 		return nil, nil, badForm(form)
 	}
-	names, inits, err := parseBindings(rest[0])
+	names, inits, err := ParseBindings(rest[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -270,7 +206,9 @@ func sfLetrec(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, V
 	return in.evalBody(ctx, rest[1:], frame)
 }
 
-func parseBindings(v Value) ([]Symbol, []Value, error) {
+// ParseBindings splits ((name init) ...) into names and inits; a binding
+// without an init gets the unspecified value. The compiler shares it.
+func ParseBindings(v Value) ([]Symbol, []Value, error) {
 	pairs, err := ListToSlice(v)
 	if err != nil {
 		return nil, nil, Errorf("bad bindings: %v", err)
@@ -294,45 +232,6 @@ func parseBindings(v Value) ([]Symbol, []Value, error) {
 		}
 	}
 	return names, inits, nil
-}
-
-func sfCond(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-	clauses, err := forms("cond", form.Cdr)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, cl := range clauses {
-		parts, err := ListToSlice(cl)
-		if err != nil || len(parts) == 0 {
-			return nil, nil, Errorf("cond: bad clause %s", WriteString(cl))
-		}
-		if s, ok := parts[0].(Symbol); ok && s == "else" {
-			return in.evalBody(ctx, parts[1:], env)
-		}
-		test, err := in.Eval(ctx, parts[0], env)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !IsTruthy(test) {
-			continue
-		}
-		if len(parts) == 1 {
-			return nil, test, nil
-		}
-		if s, ok := parts[1].(Symbol); ok && s == "=>" {
-			if len(parts) != 3 {
-				return nil, nil, Errorf("cond: bad => clause")
-			}
-			fn, err := in.Eval(ctx, parts[2], env)
-			if err != nil {
-				return nil, nil, err
-			}
-			v, err := in.Apply(ctx, fn, []Value{test})
-			return nil, v, err
-		}
-		return in.evalBody(ctx, parts[1:], env)
-	}
-	return nil, Unspecified, nil
 }
 
 func sfCase(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
@@ -403,36 +302,6 @@ func sfOr(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value
 		}
 	}
 	return &tailNext{expr: rest[len(rest)-1], env: env}, nil, nil
-}
-
-func sfWhen(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-	rest, err := forms("when", form.Cdr)
-	if err != nil || len(rest) < 1 {
-		return nil, nil, badForm(form)
-	}
-	test, err := in.Eval(ctx, rest[0], env)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !IsTruthy(test) {
-		return nil, Unspecified, nil
-	}
-	return in.evalBody(ctx, rest[1:], env)
-}
-
-func sfUnless(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-	rest, err := forms("unless", form.Cdr)
-	if err != nil || len(rest) < 1 {
-		return nil, nil, badForm(form)
-	}
-	test, err := in.Eval(ctx, rest[0], env)
-	if err != nil {
-		return nil, nil, err
-	}
-	if IsTruthy(test) {
-		return nil, Unspecified, nil
-	}
-	return in.evalBody(ctx, rest[1:], env)
 }
 
 func sfDo(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
@@ -512,104 +381,6 @@ func sfDelay(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Va
 		return nil, nil, badForm(form)
 	}
 	return nil, &Promise{thunk: &Closure{Body: rest, Env: env}}, nil
-}
-
-func sfQuasiquote(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, Value, error) {
-	rest, err := forms("quasiquote", form.Cdr)
-	if err != nil || len(rest) != 1 {
-		return nil, nil, badForm(form)
-	}
-	v, err := in.quasi(ctx, rest[0], env, 1)
-	return nil, v, err
-}
-
-func (in *Interp) quasi(ctx *core.Context, tpl Value, env *Env, depth int) (Value, error) {
-	p, ok := tpl.(*Pair)
-	if !ok {
-		return tpl, nil
-	}
-	if s, ok := p.Car.(Symbol); ok {
-		switch s {
-		case "unquote":
-			parts, err := ListToSlice(p.Cdr)
-			if err != nil || len(parts) != 1 {
-				return nil, Errorf("bad unquote")
-			}
-			if depth == 1 {
-				return in.Eval(ctx, parts[0], env)
-			}
-			inner, err := in.quasi(ctx, parts[0], env, depth-1)
-			if err != nil {
-				return nil, err
-			}
-			return List(Symbol("unquote"), inner), nil
-		case "quasiquote":
-			parts, err := ListToSlice(p.Cdr)
-			if err != nil || len(parts) != 1 {
-				return nil, Errorf("bad nested quasiquote")
-			}
-			inner, err := in.quasi(ctx, parts[0], env, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return List(Symbol("quasiquote"), inner), nil
-		}
-	}
-	// Element-wise walk, handling unquote-splicing.
-	var items []Value
-	var cur Value = tpl
-	for {
-		pp, ok := cur.(*Pair)
-		if !ok {
-			break
-		}
-		if el, ok := pp.Car.(*Pair); ok {
-			if s, ok := el.Car.(Symbol); ok && s == "unquote-splicing" && depth == 1 {
-				parts, err := ListToSlice(el.Cdr)
-				if err != nil || len(parts) != 1 {
-					return nil, Errorf("bad unquote-splicing")
-				}
-				spliced, err := in.Eval(ctx, parts[0], env)
-				if err != nil {
-					return nil, err
-				}
-				sl, err := ListToSlice(spliced)
-				if err != nil {
-					return nil, Errorf("unquote-splicing of non-list")
-				}
-				items = append(items, sl...)
-				cur = pp.Cdr
-				continue
-			}
-		}
-		if s, ok := pp.Car.(Symbol); ok && (s == "unquote") {
-			// Dotted unquote tail: `(a . ,b)
-			break
-		}
-		el, err := in.quasi(ctx, pp.Car, env, depth)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, el)
-		cur = pp.Cdr
-	}
-	var tail Value = Empty
-	switch t := cur.(type) {
-	case *emptyT:
-	case *Pair:
-		v, err := in.quasi(ctx, t, env, depth)
-		if err != nil {
-			return nil, err
-		}
-		tail = v
-	default:
-		tail = cur
-	}
-	out := tail
-	for i := len(items) - 1; i >= 0; i-- {
-		out = Cons(items[i], out)
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -779,7 +550,7 @@ func sfFluidLet(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext,
 	if err != nil || len(rest) < 1 {
 		return nil, nil, badForm(form)
 	}
-	names, inits, err := parseBindings(rest[0])
+	names, inits, err := ParseBindings(rest[0])
 	if err != nil {
 		return nil, nil, err
 	}

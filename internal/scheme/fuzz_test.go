@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -60,9 +61,9 @@ func TestEvalFuzzNeverPanics(t *testing.T) {
 			// A fresh frame per run so fuzz defines cannot poison the
 			// global environment for later cases.
 			frame := NewEnv(in.Global())
-			v, err := in.Eval(ctx, expr, frame)
-			_ = v
-			_ = err // both outcomes are fine; panics are not
+			if x, err := Expand(expr); err == nil {
+				_, _ = in.Eval(ctx, x, frame) // an error is fine; a panic is not
+			}
 			return nil, nil
 		})
 		if err != nil {
@@ -75,6 +76,137 @@ func TestEvalFuzzNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzExpand: for any datum the reader produces, the expander never
+// panics, and whatever it accepts uses only core-form heads in expression
+// position. Run longer with:
+// go test -run xxx -fuzz FuzzExpand -fuzztime 30s ./internal/scheme/
+func FuzzExpand(f *testing.F) {
+	for _, src := range []string{
+		"(let* ((a 1) (b a)) (cond ((= a b) => list) (else (when a b))))",
+		"(define (f . xs) (define y 1) (display y) (define z `(1 ,@xs ,y)) z)",
+		"(let loop ((i 0)) (unless (> i 3) (block (loop (+ i 1)))))",
+		"`(a `(b ,(c ,(d)) ,@e) . ,f)",
+		"(get ts (tag ,(let* () 1) ?x (cond (x))) (define q x) q)",
+		"(do ((i 0 (+ i 1))) ((= i 2) (case i ((1) `,i) (else 0))) (letrec ((g g)) g))",
+		"(named-lambda (f x) (fluid-let ((a (when 1 2))) (spawn ts ((cond)))))",
+		"(lambda () (if 1 (define x 2)))",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		data, err := ReadAll(src)
+		if err != nil {
+			return
+		}
+		for _, d := range data {
+			x, err := Expand(d)
+			if err != nil {
+				continue
+			}
+			if err := coreOnly(x); err != nil {
+				t.Fatalf("Expand(%s) = %s: %v", WriteString(d), WriteString(x), err)
+			}
+		}
+	})
+}
+
+// TestCoreForms: the tree-walker's form table is exactly the core the
+// expander documents, and the expander checks every core form too.
+func TestCoreForms(t *testing.T) {
+	core := strings.Fields(`quote if define set! lambda begin let letrec* and or
+		case do delay fork-thread create-thread future spawn without-preemption
+		without-interrupts with-mutex fluid-let atomic get rd`)
+	if len(specialForms) != len(core) {
+		t.Fatalf("form table has %d forms, the core %d", len(specialForms), len(core))
+	}
+	for _, f := range core {
+		if !IsSpecialForm(Symbol(f)) {
+			t.Errorf("core form %s missing from the form table", f)
+		}
+		if _, ok := expanders[Symbol(f)]; !ok {
+			t.Errorf("core form %s has no expander", f)
+		}
+	}
+}
+
+// coreOnly walks an expanded expression and reports a derived-form head
+// left in expression position, or a malformed core form.
+func coreOnly(x Value) error {
+	p, ok := x.(*Pair)
+	if !ok {
+		return nil
+	}
+	items, err := ListToSlice(x)
+	if err != nil {
+		return fmt.Errorf("improper form %s", WriteString(x))
+	}
+	head, _ := p.Car.(Symbol)
+	if _, keyword := expanders[head]; keyword && !IsSpecialForm(head) {
+		return fmt.Errorf("derived form %s left in the output", head)
+	}
+	arg := func(i int) []Value { // the list operand i, or nothing
+		if i < len(items) {
+			if l, err := ListToSlice(items[i]); err == nil {
+				return l
+			}
+		}
+		return nil
+	}
+	var exprs []Value
+	switch {
+	case !IsSpecialForm(head): // an application
+		exprs = items
+	case head == "quote":
+	case head == "lambda" || head == "define" || head == "set!":
+		exprs = items[2:]
+	case head == "let" || head == "letrec*" || head == "fluid-let":
+		for _, b := range arg(1) {
+			exprs = append(exprs, arg0(b)...)
+		}
+		exprs = append(exprs, items[2:]...)
+	case head == "do":
+		for _, sp := range arg(1) {
+			exprs = append(exprs, arg0(sp)...)
+		}
+		exprs = append(append(exprs, arg(2)...), items[3:]...)
+	case head == "case":
+		exprs = items[1:2]
+		for _, cl := range items[2:] {
+			exprs = append(exprs, arg0(cl)...)
+		}
+	case head == "spawn":
+		exprs = append(items[1:2], arg(2)...)
+	case head == "get" || head == "rd":
+		exprs = items[1:2]
+		for _, it := range arg(2) {
+			if u, ok := it.(*Pair); ok && u.Car == symUnquote {
+				exprs = append(exprs, arg0(it)...)
+			} else if ok {
+				exprs = append(exprs, it)
+			}
+		}
+		exprs = append(exprs, items[3:]...)
+	default:
+		exprs = items[1:]
+	}
+	for _, e := range exprs {
+		if err := coreOnly(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// arg0 answers the elements after the first of a list (a binding's init,
+// a clause's body), or nothing.
+func arg0(v Value) []Value {
+	l, err := ListToSlice(v)
+	if err != nil || len(l) == 0 {
+		return nil
+	}
+	return l[1:]
 }
 
 // Property: the reader never panics on arbitrary byte strings.

@@ -108,13 +108,33 @@ func stringArg(name string, v Value) (*SString, error) {
 	return s, nil
 }
 
+// primCons is the global cons. Expanded quasiquotes call this value
+// directly, so rebinding cons cannot change what a template builds.
+var primCons = &Primitive{Name: "cons", Min: 2, Max: 2,
+	Fn: func(in *Interp, ctx *core.Context, a []Value) (Value, error) {
+		in.account(ctx, consBytes)
+		return Cons(a[0], a[1]), nil
+	}}
+
+// primSplice is ,@l inside a quasiquote: a fresh copy of the proper list l
+// in front of tail. It has no global binding.
+var primSplice = &Primitive{Name: "unquote-splicing", Min: 2, Max: 2,
+	Fn: func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
+		items, err := ListToSlice(a[0])
+		if err != nil {
+			return nil, Errorf("unquote-splicing of non-list")
+		}
+		out := a[1]
+		for i := len(items) - 1; i >= 0; i-- {
+			out = Cons(items[i], out)
+		}
+		return out, nil
+	}}
+
 // installPrimitives populates the standard environment.
 func installPrimitives(in *Interp) {
 	// Pairs and lists.
-	in.prim("cons", 2, 2, func(in *Interp, ctx *core.Context, a []Value) (Value, error) {
-		in.account(ctx, consBytes)
-		return Cons(a[0], a[1]), nil
-	})
+	in.global.Define("cons", primCons)
 	in.prim("car", 1, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		p, ok := a[0].(*Pair)
 		if !ok {
@@ -796,7 +816,7 @@ func installPrimitives(in *Interp) {
 		return p.value, nil
 	})
 	in.prim("eval", 1, 1, func(in *Interp, ctx *core.Context, a []Value) (Value, error) {
-		return in.Eval(ctx, a[0], in.global)
+		return in.evalToplevel(ctx, a[0])
 	})
 	in.prim("read-string", 1, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		s, err := stringArg("read-string", a[0])

@@ -348,11 +348,15 @@ func (r *Reader) readAtom() (Value, error) {
 }
 
 func parseAtom(tok string) (Value, error) {
+	// Every number has a digit ("inf" and "nan" read as symbols), so a
+	// symbol skips both parses — the reader's main cost on program text.
+	if !strings.ContainsAny(tok, "0123456789") {
+		return Symbol(tok), nil
+	}
 	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
 		return i, nil
 	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil &&
-		strings.IndexFunc(tok, func(r rune) bool { return r >= '0' && r <= '9' }) >= 0 {
+	if f, err := strconv.ParseFloat(tok, 64); err == nil {
 		return f, nil
 	}
 	return Symbol(tok), nil

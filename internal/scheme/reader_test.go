@@ -119,6 +119,9 @@ func TestReaderNumbersAndSymbols(t *testing.T) {
 		"a.b":   "a.b",
 		"-abc":  "-abc",
 		"12abc": "12abc", // not a number: symbol
+		"inf":   "inf",   // digit-free float spellings stay symbols
+		"-nan":  "-nan",
+		"0x1p4": "16.",
 	}
 	for src, want := range cases {
 		v, err := ReadOne(src)

@@ -6,12 +6,11 @@
 // tree-walker, so preemption, stealing and span inheritance behave
 // identically under either engine.
 //
-// The tree-walker in internal/scheme stays the executable reference
-// semantics: the compiler declines any form outside its subset (quasiquote,
-// non-prefix internal defines, malformed syntax) and the interpreter falls
-// back to Eval for that toplevel form, so the engine is never wrong, only
-// occasionally slower. The two engines are differentially fuzzed against
-// each other (internal/scheme FuzzEngines).
+// Both engines run the output of one syntax pass, scheme.Expand, which
+// lowers every derived form to the core language; the compiler covers the
+// whole core and never declines a form. The tree-walker in internal/scheme
+// stays the executable reference semantics, and the two engines are
+// differentially fuzzed against each other (internal/scheme FuzzEngines).
 package vm
 
 import (
@@ -50,20 +49,13 @@ const (
 	// OpJumpIfFalse pops and jumps to A when the value is falsy.
 	OpJumpIfFalse
 	// OpJumpTruthyKeep jumps to A keeping the top when truthy, else pops and
-	// falls through (or, test-only cond clauses).
+	// falls through (or).
 	OpJumpTruthyKeep
 	// OpJumpFalsyKeep jumps to A keeping the top when falsy, else pops and
 	// falls through (and).
 	OpJumpFalsyKeep
-	// OpJumpFalsyPop pops and jumps to A when falsy, else keeps the top and
-	// falls through (cond => clauses).
-	OpJumpFalsyPop
 	// OpPop discards the top of stack.
 	OpPop
-	// OpDup duplicates the top of stack.
-	OpDup
-	// OpSwap exchanges the two top values.
-	OpSwap
 	// OpClosure pushes a closure over Subs[A] capturing the current frame.
 	OpClosure
 	// OpCall calls with A arguments: [fn a1..aA] → [result]. A safepoint.
@@ -117,8 +109,7 @@ var opNames = [...]string{
 	OpSetLocal: "set-local", OpInitSlot: "init-slot", OpGlobal: "global",
 	OpSetGlobal: "set-global", OpDefGlobal: "def-global", OpJump: "jump",
 	OpJumpIfFalse: "jump-if-false", OpJumpTruthyKeep: "jump-truthy-keep",
-	OpJumpFalsyKeep: "jump-falsy-keep", OpJumpFalsyPop: "jump-falsy-pop",
-	OpPop: "pop", OpDup: "dup", OpSwap: "swap", OpClosure: "closure",
+	OpJumpFalsyKeep: "jump-falsy-keep", OpPop: "pop", OpClosure: "closure",
 	OpCall: "call", OpTailCall: "tail-call", OpReturn: "return",
 	OpPushFrame: "push-frame", OpPopFrame: "pop-frame",
 	OpCaseMatch: "case-match", OpPromise: "promise", OpFork: "fork",

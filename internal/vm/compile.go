@@ -1,39 +1,38 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/scheme"
 )
 
-// errUnsupported marks forms the compiler declines; the engine falls back
-// to the tree-walker for the whole toplevel form, so declining is always
-// safe — the reference semantics (including its error behavior) take over.
-var errUnsupported = errors.New("vm: unsupported form")
-
-func unsupportedf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", errUnsupported, fmt.Sprintf(format, args...))
-}
-
-// Compile lowers one toplevel datum to bytecode. It returns errUnsupported
-// (wrapped) for anything outside the compiled subset: quasiquote, internal
-// defines that are not a body prefix, and malformed special forms (the
-// tree-walker reproduces their exact error behavior).
+// Compile lowers one expanded toplevel datum — scheme.Expand's output, the
+// core language only — to bytecode. The expander has already checked the
+// syntax, so the compiler never declines a form; a malformed datum can only
+// come from a caller that skipped the expander, and the recover turns it
+// into an ordinary error.
 func Compile(expr scheme.Value) (code *Code, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = unsupportedf("compiler panic: %v", r)
+			err = fmt.Errorf("vm: compile: %v", r)
 		}
 	}()
 	fc := newFn("", 0, false)
 	c := &compiler{}
-	if err := c.expr(fc, nil, expr, true); err != nil {
-		return nil, err
-	}
+	c.expr(fc, nil, expr, true)
 	fc.emit(OpReturn, 0, 0)
 	return fc.code(), nil
+}
+
+// list answers the elements of a proper list; the expander guarantees the
+// shape, so an improper one is a bug in the caller.
+func list(v scheme.Value) []scheme.Value {
+	items, err := scheme.ListToSlice(v)
+	if err != nil {
+		panic(err)
+	}
+	return items
 }
 
 // ---------------------------------------------------------------------------
@@ -93,36 +92,30 @@ func (f *fnCode) code() *Code {
 type scope struct {
 	parent *scope
 	names  map[scheme.Symbol]int
-	// pending marks internal-define slots whose define has not executed
-	// yet; a same-function reference to one would diverge from the
-	// tree-walker (which resolves it to an outer binding), so it declines.
-	// Crossing into a nested procedure lifts the restriction: by the time
-	// the closure can run, the defines have executed.
-	pending map[scheme.Symbol]bool
-	// fnTop marks a procedure's frame scope (params + body defines).
-	fnTop bool
+	nslots int // slots allocated so far in this frame
 }
 
-func newScope(parent *scope, fnTop bool) *scope {
-	return &scope{parent: parent, names: make(map[scheme.Symbol]int),
-		pending: make(map[scheme.Symbol]bool), fnTop: fnTop}
+func newScope(parent *scope) *scope {
+	return &scope{parent: parent, names: make(map[scheme.Symbol]int)}
 }
 
-// resolve walks the scope chain for sym. blocked means the binding is a
-// pending define slot referenced from the same procedure.
-func resolve(sc *scope, sym scheme.Symbol) (depth, slot int, blocked, found bool) {
-	crossedFn := false
+// add binds name to the frame's next slot, shadowing any earlier binding.
+func (s *scope) add(name scheme.Symbol) int {
+	s.names[name] = s.nslots
+	s.nslots++
+	return s.nslots - 1
+}
+
+// resolve walks the scope chain for sym.
+func resolve(sc *scope, sym scheme.Symbol) (depth, slot int, found bool) {
 	d := 0
 	for s := sc; s != nil; s = s.parent {
 		if i, ok := s.names[sym]; ok {
-			return d, i, s.pending[sym] && !crossedFn, true
-		}
-		if s.fnTop {
-			crossedFn = true
+			return d, i, true
 		}
 		d++
 	}
-	return 0, 0, false, false
+	return 0, 0, false
 }
 
 // ---------------------------------------------------------------------------
@@ -130,649 +123,274 @@ func resolve(sc *scope, sym scheme.Symbol) (depth, slot int, blocked, found bool
 
 type compiler struct{}
 
-func (c *compiler) expr(fc *fnCode, sc *scope, x scheme.Value, tail bool) error {
+func (c *compiler) expr(fc *fnCode, sc *scope, x scheme.Value, tail bool) {
 	switch v := x.(type) {
 	case scheme.Symbol:
-		if d, slot, blocked, ok := resolve(sc, v); ok {
-			if blocked {
-				return unsupportedf("reference to pending define %s", v)
-			}
+		if d, slot, ok := resolve(sc, v); ok {
 			fc.emit(OpLocal, int32(d), int32(slot))
-			return nil
+			return
 		}
 		fc.emit(OpGlobal, fc.konst(v), 0)
-		return nil
 	case *scheme.Pair:
 		if head, ok := v.Car.(scheme.Symbol); ok && scheme.IsSpecialForm(head) {
-			return c.form(fc, sc, head, v, tail)
+			c.form(fc, sc, head, list(v.Cdr), tail)
+			return
 		}
-		return c.application(fc, sc, v, tail)
+		c.application(fc, sc, list(v), tail)
 	default:
-		if scheme.IsEmptyList(x) {
-			return unsupportedf("cannot evaluate ()")
-		}
 		fc.emit(OpConst, fc.konst(x), 0)
-		return nil
 	}
 }
 
-func (c *compiler) application(fc *fnCode, sc *scope, form *scheme.Pair, tail bool) error {
-	args, err := scheme.ListToSlice(form.Cdr)
-	if err != nil {
-		return unsupportedf("improper argument list")
-	}
-	if err := c.expr(fc, sc, form.Car, false); err != nil {
-		return err
-	}
-	for _, a := range args {
-		if err := c.expr(fc, sc, a, false); err != nil {
-			return err
-		}
+func (c *compiler) application(fc *fnCode, sc *scope, items []scheme.Value, tail bool) {
+	for _, x := range items {
+		c.expr(fc, sc, x, false)
 	}
 	op := OpCall
 	if tail {
 		op = OpTailCall
 	}
-	fc.emit(op, int32(len(args)), 0)
-	return nil
+	fc.emit(op, int32(len(items)-1), 0)
 }
 
-// seq compiles an expression sequence (begin in expression position, cond
-// and case clause bodies); internal defines are not legal here — the form
-// declines and the tree-walker takes it.
-func (c *compiler) seq(fc *fnCode, sc *scope, forms []scheme.Value, tail bool) error {
+// seq compiles an expression sequence (begin, case clause bodies, the
+// bodies the concurrency forms wrap as thunks).
+func (c *compiler) seq(fc *fnCode, sc *scope, forms []scheme.Value, tail bool) {
 	if len(forms) == 0 {
 		fc.emit(OpUnspec, 0, 0)
-		return nil
+		return
 	}
-	for i := 0; i < len(forms)-1; i++ {
-		if err := c.expr(fc, sc, forms[i], false); err != nil {
-			return err
-		}
+	for _, x := range forms[:len(forms)-1] {
+		c.expr(fc, sc, x, false)
 		fc.emit(OpPop, 0, 0)
 	}
-	return c.expr(fc, sc, forms[len(forms)-1], tail)
+	c.expr(fc, sc, forms[len(forms)-1], tail)
 }
 
-func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.Pair, tail bool) error {
-	rest, err := scheme.ListToSlice(form.Cdr)
-	if err != nil {
-		return unsupportedf("%s: improper form", head)
-	}
+// thunk compiles forms as the body of a nullary closure and pushes it —
+// the operand shape of every concurrency instruction. A thread's single
+// expression runs in tail position; a wrapped body does not.
+func (c *compiler) thunk(fc *fnCode, sc *scope, tail bool, forms ...scheme.Value) {
+	fc.emit(OpClosure, c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) {
+		c.seq(sub, subSc, forms, tail)
+	}), 0)
+}
+
+func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, rest []scheme.Value, tail bool) {
 	switch head {
 	case "quote":
-		if len(rest) != 1 {
-			return unsupportedf("bad quote")
-		}
 		fc.emit(OpConst, fc.konst(rest[0]), 0)
-		return nil
 
 	case "if":
-		if len(rest) < 2 || len(rest) > 3 {
-			return unsupportedf("bad if")
-		}
-		if err := c.expr(fc, sc, rest[0], false); err != nil {
-			return err
-		}
+		c.expr(fc, sc, rest[0], false)
 		jElse := fc.emit(OpJumpIfFalse, 0, 0)
-		if err := c.expr(fc, sc, rest[1], tail); err != nil {
-			return err
-		}
+		c.expr(fc, sc, rest[1], tail)
 		jEnd := fc.emit(OpJump, 0, 0)
 		fc.patchA(jElse)
 		if len(rest) == 3 {
-			if err := c.expr(fc, sc, rest[2], tail); err != nil {
-				return err
-			}
+			c.expr(fc, sc, rest[2], tail)
 		} else {
 			fc.emit(OpUnspec, 0, 0)
 		}
 		fc.patchA(jEnd)
-		return nil
 
 	case "define":
-		if sc != nil {
-			// Local defines are handled at body positions (compileBody);
-			// anywhere else the tree-walker's runtime-define semantics take
-			// over via fallback.
-			return unsupportedf("define outside a body prefix")
+		// Only global defines reach the compiler: the expander turns body
+		// defines into letrec*. A procedure init takes the variable's name.
+		name := rest[0].(scheme.Symbol)
+		switch {
+		case len(rest) == 1:
+			fc.emit(OpUnspec, 0, 0)
+		case isForm(rest[1], "lambda"):
+			c.lambda(fc, sc, name, list(rest[1].(*scheme.Pair).Cdr))
+		default:
+			c.expr(fc, sc, rest[1], false)
 		}
-		return c.globalDefine(fc, rest)
+		fc.emit(OpDefGlobal, fc.konst(name), 0)
 
 	case "set!":
-		if len(rest) != 2 {
-			return unsupportedf("bad set!")
-		}
-		sym, ok := rest[0].(scheme.Symbol)
-		if !ok {
-			return unsupportedf("bad set! target")
-		}
-		if err := c.expr(fc, sc, rest[1], false); err != nil {
-			return err
-		}
-		if d, slot, blocked, ok := resolve(sc, sym); ok {
-			if blocked {
-				return unsupportedf("set! of pending define %s", sym)
-			}
+		sym := rest[0].(scheme.Symbol)
+		c.expr(fc, sc, rest[1], false)
+		if d, slot, ok := resolve(sc, sym); ok {
 			fc.emit(OpSetLocal, int32(d), int32(slot))
 		} else {
 			fc.emit(OpSetGlobal, fc.konst(sym), 0)
 		}
-		return nil
 
-	case "lambda", "named-lambda":
-		// The tree-walker treats named-lambda identically to lambda (the
-		// head of the spec list is just the first parameter).
-		if len(rest) < 1 {
-			return unsupportedf("bad lambda")
-		}
-		idx, err := c.lambdaSub(fc, sc, "", rest[0], rest[1:])
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
-		return nil
+	case "lambda":
+		c.lambda(fc, sc, "", rest)
 
-	case "begin", "block":
-		return c.seq(fc, sc, rest, tail)
+	case "begin":
+		c.seq(fc, sc, rest, tail)
 
 	case "let":
-		return c.let(fc, sc, rest, tail)
-	case "let*":
-		return c.letStar(fc, sc, rest, tail)
-	case "letrec":
-		return c.letrec(fc, sc, rest, tail)
-	case "cond":
-		return c.cond(fc, sc, rest, tail)
+		names, inits := must2(scheme.ParseBindings(rest[0]))
+		for _, init := range inits {
+			c.expr(fc, sc, init, false)
+		}
+		newSc := newScope(sc)
+		for _, n := range names {
+			newSc.add(n)
+		}
+		c.frame(fc, newSc, len(names), rest[1:], tail)
+
+	case "letrec*":
+		// A fresh frame whose whole body is this letrec*: body() fills it.
+		c.frame(fc, newScope(sc), 0,
+			[]scheme.Value{scheme.Cons(scheme.Symbol(head), scheme.List(rest...))}, tail)
+
 	case "case":
-		return c.caseForm(fc, sc, rest, tail)
+		c.caseForm(fc, sc, rest, tail)
 
-	case "and":
+	case "and", "or":
+		// Each operand but the last short-circuits on its own value.
+		jump, empty := OpJumpFalsyKeep, true
+		if head == "or" {
+			jump, empty = OpJumpTruthyKeep, false
+		}
 		if len(rest) == 0 {
-			fc.emit(OpConst, fc.konst(true), 0)
-			return nil
+			fc.emit(OpConst, fc.konst(empty), 0)
+			return
 		}
 		var ends []int
-		for i := 0; i < len(rest)-1; i++ {
-			if err := c.expr(fc, sc, rest[i], false); err != nil {
-				return err
-			}
-			ends = append(ends, fc.emit(OpJumpFalsyKeep, 0, 0))
+		for _, x := range rest[:len(rest)-1] {
+			c.expr(fc, sc, x, false)
+			ends = append(ends, fc.emit(jump, 0, 0))
 		}
-		if err := c.expr(fc, sc, rest[len(rest)-1], tail); err != nil {
-			return err
-		}
+		c.expr(fc, sc, rest[len(rest)-1], tail)
 		for _, j := range ends {
 			fc.patchA(j)
 		}
-		return nil
-
-	case "or":
-		if len(rest) == 0 {
-			fc.emit(OpConst, fc.konst(false), 0)
-			return nil
-		}
-		var ends []int
-		for i := 0; i < len(rest)-1; i++ {
-			if err := c.expr(fc, sc, rest[i], false); err != nil {
-				return err
-			}
-			ends = append(ends, fc.emit(OpJumpTruthyKeep, 0, 0))
-		}
-		if err := c.expr(fc, sc, rest[len(rest)-1], tail); err != nil {
-			return err
-		}
-		for _, j := range ends {
-			fc.patchA(j)
-		}
-		return nil
-
-	case "when", "unless":
-		if len(rest) < 1 {
-			return unsupportedf("bad %s", head)
-		}
-		if err := c.expr(fc, sc, rest[0], false); err != nil {
-			return err
-		}
-		jSkip := fc.emit(OpJumpIfFalse, 0, 0)
-		if head == "when" {
-			if err := c.seq(fc, sc, rest[1:], tail); err != nil {
-				return err
-			}
-			jEnd := fc.emit(OpJump, 0, 0)
-			fc.patchA(jSkip)
-			fc.emit(OpUnspec, 0, 0)
-			fc.patchA(jEnd)
-		} else {
-			fc.emit(OpUnspec, 0, 0)
-			jEnd := fc.emit(OpJump, 0, 0)
-			fc.patchA(jSkip)
-			if err := c.seq(fc, sc, rest[1:], tail); err != nil {
-				return err
-			}
-			fc.patchA(jEnd)
-		}
-		return nil
 
 	case "do":
-		return c.doLoop(fc, sc, rest)
+		c.doLoop(fc, sc, rest)
 
 	case "delay":
-		if len(rest) != 1 {
-			return unsupportedf("bad delay")
-		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-			return c.expr(sub, subSc, rest[0], true)
-		})
-		if err != nil {
-			return err
-		}
-		fc.emit(OpPromise, idx, 0)
-		return nil
-
-	case "quasiquote":
-		return unsupportedf("quasiquote")
+		fc.emit(OpPromise, c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) {
+			c.expr(sub, subSc, rest[0], true)
+		}), 0)
 
 	case "fork-thread":
-		if len(rest) < 1 || len(rest) > 2 {
-			return unsupportedf("bad fork-thread")
-		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-			return c.expr(sub, subSc, rest[0], true)
-		})
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
+		c.thunk(fc, sc, true, rest[0])
 		hasVP := int32(0)
 		if len(rest) == 2 {
 			hasVP = 1
-			if err := c.expr(fc, sc, rest[1], false); err != nil {
-				return err
-			}
+			c.expr(fc, sc, rest[1], false)
 		}
 		fc.emit(OpFork, hasVP, 0)
-		return nil
 
-	case "create-thread", "future":
-		if len(rest) != 1 {
-			return unsupportedf("bad %s", head)
-		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-			return c.expr(sub, subSc, rest[0], true)
-		})
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
-		if head == "future" {
-			fc.emit(OpFuture, 0, 0)
-		} else {
-			fc.emit(OpCreateThread, 0, 0)
-		}
-		return nil
+	case "create-thread":
+		c.thunk(fc, sc, true, rest[0])
+		fc.emit(OpCreateThread, 0, 0)
+
+	case "future":
+		c.thunk(fc, sc, true, rest[0])
+		fc.emit(OpFuture, 0, 0)
 
 	case "spawn":
-		if len(rest) != 2 {
-			return unsupportedf("bad spawn")
-		}
-		exprs, err := scheme.ListToSlice(rest[1])
-		if err != nil {
-			return unsupportedf("bad spawn")
-		}
-		if err := c.expr(fc, sc, rest[0], false); err != nil {
-			return err
-		}
+		c.expr(fc, sc, rest[0], false)
+		exprs := list(rest[1])
 		for _, e := range exprs {
-			e := e
-			idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-				return c.expr(sub, subSc, e, true)
-			})
-			if err != nil {
-				return err
-			}
-			fc.emit(OpClosure, idx, 0)
+			c.thunk(fc, sc, true, e)
 		}
 		fc.emit(OpSpawn, int32(len(exprs)), 0)
-		return nil
 
-	case "without-preemption", "without-interrupts":
-		// The body becomes a thunk; the tree-walker evaluates these bodies
-		// in the enclosing env, so internal defines decline (fallback keeps
-		// the define-into-enclosing-frame semantics).
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-			return c.seq(sub, subSc, rest, false)
-		})
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
-		if head == "without-preemption" {
-			fc.emit(OpNoPreempt, 0, 0)
-		} else {
-			fc.emit(OpNoInterrupt, 0, 0)
-		}
-		return nil
+	case "without-preemption":
+		c.thunk(fc, sc, false, rest...)
+		fc.emit(OpNoPreempt, 0, 0)
+
+	case "without-interrupts":
+		c.thunk(fc, sc, false, rest...)
+		fc.emit(OpNoInterrupt, 0, 0)
 
 	case "with-mutex":
-		if len(rest) < 1 {
-			return unsupportedf("bad with-mutex")
-		}
-		if err := c.expr(fc, sc, rest[0], false); err != nil {
-			return err
-		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-			return c.seq(sub, subSc, rest[1:], false)
-		})
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
+		c.expr(fc, sc, rest[0], false)
+		c.thunk(fc, sc, false, rest[1:]...)
 		fc.emit(OpWithMutex, 0, 0)
-		return nil
 
 	case "fluid-let":
-		if len(rest) < 1 {
-			return unsupportedf("bad fluid-let")
-		}
-		names, inits, err := parseBindings(rest[0])
-		if err != nil {
-			return err
-		}
-		return c.fluidLet(fc, sc, names, inits, rest[1:])
+		names, inits := must2(scheme.ParseBindings(rest[0]))
+		c.fluidLet(fc, sc, names, inits, rest[1:])
 
 	case "atomic":
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
-			return c.seq(sub, subSc, rest, false)
-		})
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
+		c.thunk(fc, sc, false, rest...)
 		fc.emit(OpAtomic, 0, 0)
-		return nil
 
 	case "get", "rd":
-		return c.tupleForm(fc, sc, head, rest)
+		c.tupleForm(fc, sc, head, rest)
 
 	default:
-		return unsupportedf("special form %s", head)
+		panic(fmt.Sprintf("no core form %s", head))
 	}
 }
 
-// globalDefine compiles a toplevel define (the global frame is a runtime
-// map, so any toplevel position works, mirroring the tree-walker).
-func (c *compiler) globalDefine(fc *fnCode, rest []scheme.Value) error {
-	if len(rest) < 1 {
-		return unsupportedf("bad define")
+// must2 unwraps a parse the expander has already checked.
+func must2[A, B any](a A, b B, err error) (A, B) {
+	if err != nil {
+		panic(err)
 	}
-	switch target := rest[0].(type) {
-	case scheme.Symbol:
-		// The tree-walker only evaluates the init when there are exactly
-		// two operands; extra operands leave the variable unspecified.
-		if len(rest) == 2 {
-			if err := c.expr(fc, nil, rest[1], false); err != nil {
-				return err
-			}
-		} else {
-			fc.emit(OpUnspec, 0, 0)
-		}
-		fc.emit(OpDefGlobal, fc.konst(target), 0)
-		return nil
-	case *scheme.Pair:
-		name, ok := target.Car.(scheme.Symbol)
-		if !ok {
-			return unsupportedf("bad define")
-		}
-		idx, err := c.lambdaSub(fc, nil, name, target.Cdr, rest[1:])
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
-		fc.emit(OpDefGlobal, fc.konst(name), 0)
-		return nil
-	default:
-		return unsupportedf("bad define")
-	}
+	return a, b
+}
+
+// isForm reports whether x is a list headed by the symbol head.
+func isForm(x scheme.Value, head scheme.Symbol) bool {
+	p, ok := x.(*scheme.Pair)
+	return ok && p.Car == head
 }
 
 // ---------------------------------------------------------------------------
 // binding forms
 
-func parseBindings(v scheme.Value) ([]scheme.Symbol, []scheme.Value, error) {
-	pairs, err := scheme.ListToSlice(v)
-	if err != nil {
-		return nil, nil, unsupportedf("bad bindings")
-	}
-	names := make([]scheme.Symbol, len(pairs))
-	inits := make([]scheme.Value, len(pairs))
-	for i, b := range pairs {
-		bs, err := scheme.ListToSlice(b)
-		if err != nil || len(bs) < 1 || len(bs) > 2 {
-			return nil, nil, unsupportedf("bad binding")
-		}
-		s, ok := bs[0].(scheme.Symbol)
-		if !ok {
-			return nil, nil, unsupportedf("bad binding name")
-		}
-		names[i] = s
-		if len(bs) == 2 {
-			inits[i] = bs[1]
-		} else {
-			inits[i] = scheme.Unspecified
-		}
-	}
-	return names, inits, nil
-}
-
-func (c *compiler) let(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) error {
-	if len(rest) < 1 {
-		return unsupportedf("bad let")
-	}
-	if name, ok := rest[0].(scheme.Symbol); ok {
-		// Named let desugars to the tree-walker's exact env shape:
-		// ((letrec ((name (lambda (vars...) body...))) name) inits...)
-		if len(rest) < 2 {
-			return unsupportedf("bad named let")
-		}
-		names, inits, err := parseBindings(rest[1])
-		if err != nil {
-			return err
-		}
-		params := make([]scheme.Value, len(names))
-		initVals := make([]scheme.Value, len(inits))
-		for i := range names {
-			params[i] = names[i]
-			initVals[i] = inits[i]
-		}
-		lambda := scheme.Cons(scheme.Symbol("lambda"),
-			scheme.Cons(scheme.List(params...), scheme.List(rest[2:]...)))
-		letrec := scheme.List(scheme.Symbol("letrec"),
-			scheme.List(scheme.List(name, lambda)), name)
-		call := scheme.Cons(letrec, scheme.List(initVals...))
-		return c.expr(fc, sc, call, tail)
-	}
-	names, inits, err := parseBindings(rest[0])
-	if err != nil {
-		return err
-	}
-	items, defs, err := bodyItems(rest[1:])
-	if err != nil {
-		return err
-	}
-	for _, init := range inits {
-		if err := c.expr(fc, sc, init, false); err != nil {
-			return err
-		}
-	}
-	fc.emit(OpPushFrame, int32(len(names)+len(defs)), int32(len(names)))
-	newSc := newScope(sc, false)
-	for i, n := range names {
-		newSc.names[n] = i
-	}
-	addDefineSlots(newSc, defs, len(names))
-	if err := c.compileBody(fc, newSc, items, tail); err != nil {
-		return err
-	}
+// frame compiles a binding form's frame: nstaged already-evaluated inits
+// fill the first slots, the body (plus any letrec* it merges) the rest.
+func (c *compiler) frame(fc *fnCode, sc *scope, nstaged int, body []scheme.Value, tail bool) {
+	push := fc.emit(OpPushFrame, 0, int32(nstaged))
+	c.body(fc, sc, body, tail)
+	fc.ops[push].A = int32(sc.nslots)
 	if !tail {
 		fc.emit(OpPopFrame, 0, 0)
 	}
-	return nil
 }
 
-func (c *compiler) letStar(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) error {
-	if len(rest) < 1 {
-		return unsupportedf("bad let*")
-	}
-	names, inits, err := parseBindings(rest[0])
-	if err != nil {
-		return err
-	}
-	if len(names) == 0 {
-		// The tree-walker runs a zero-binding let* body in the enclosing
-		// env (no new frame), like an expression-position begin.
-		return c.seq(fc, sc, rest[1:], tail)
-	}
-	// Desugar to nested single-binding lets — the tree-walker's frame
-	// chain exactly.
-	body := scheme.List(rest[1:]...)
-	var inner scheme.Value
-	if len(names) == 1 {
-		inner = scheme.Cons(scheme.Symbol("let"),
-			scheme.Cons(scheme.List(scheme.List(names[0], inits[0])), body))
-	} else {
-		bindDatums := make([]scheme.Value, len(names)-1)
-		for i := 1; i < len(names); i++ {
-			bindDatums[i-1] = scheme.List(names[i], inits[i])
+// body compiles a procedure or binding-form body. A body that is a single
+// letrec* — the expander's lowering of internal defines — shares the
+// enclosing frame: its bindings take the frame's next slots and initialize
+// in order, so internal defines cost no frame of their own. A name bound
+// twice by one letrec* is one binding.
+func (c *compiler) body(fc *fnCode, sc *scope, forms []scheme.Value, tail bool) {
+	for len(forms) == 1 && isForm(forms[0], "letrec*") {
+		rest := list(forms[0].(*scheme.Pair).Cdr)
+		names, inits := must2(scheme.ParseBindings(rest[0]))
+		slots := make(map[scheme.Symbol]int, len(names))
+		for _, n := range names {
+			if _, dup := slots[n]; !dup {
+				slots[n] = sc.add(n)
+			}
 		}
-		rest := scheme.Cons(scheme.Symbol("let*"),
-			scheme.Cons(scheme.List(bindDatums...), body))
-		inner = scheme.List(scheme.Symbol("let"),
-			scheme.List(scheme.List(names[0], inits[0])), rest)
+		for i, init := range inits {
+			c.expr(fc, sc, init, false)
+			fc.emit(OpInitSlot, int32(slots[names[i]]), fc.konst(names[i]))
+		}
+		forms = rest[1:]
 	}
-	p, _ := inner.(*scheme.Pair)
-	return c.form(fc, sc, p.Car.(scheme.Symbol), p, tail)
+	c.seq(fc, sc, forms, tail)
 }
 
-func (c *compiler) letrec(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) error {
-	if len(rest) < 1 {
-		return unsupportedf("bad letrec")
-	}
-	names, inits, err := parseBindings(rest[0])
-	if err != nil {
-		return err
-	}
-	items, defs, err := bodyItems(rest[1:])
-	if err != nil {
-		return err
-	}
-	fc.emit(OpPushFrame, int32(len(names)+len(defs)), 0)
-	newSc := newScope(sc, false)
-	for i, n := range names {
-		newSc.names[n] = i // letrec slots read Unspecified before init — tree parity
-	}
-	addDefineSlots(newSc, defs, len(names))
-	for i, init := range inits {
-		if err := c.expr(fc, newSc, init, false); err != nil {
-			return err
-		}
-		fc.emit(OpInitSlot, int32(i), fc.konst(names[i]))
-	}
-	if err := c.compileBody(fc, newSc, items, tail); err != nil {
-		return err
-	}
-	if !tail {
-		fc.emit(OpPopFrame, 0, 0)
-	}
-	return nil
-}
-
-func (c *compiler) cond(fc *fnCode, sc *scope, clauses []scheme.Value, tail bool) error {
-	var ends []int
-	for _, cl := range clauses {
-		parts, err := scheme.ListToSlice(cl)
-		if err != nil || len(parts) == 0 {
-			return unsupportedf("bad cond clause")
-		}
-		if s, ok := parts[0].(scheme.Symbol); ok && s == "else" {
-			if err := c.seq(fc, sc, parts[1:], tail); err != nil {
-				return err
-			}
-			for _, j := range ends {
-				fc.patchA(j)
-			}
-			return nil // later clauses are unreachable, as in the tree-walker
-		}
-		if err := c.expr(fc, sc, parts[0], false); err != nil {
-			return err
-		}
-		switch {
-		case len(parts) == 1: // test-only: the test's value is the result
-			ends = append(ends, fc.emit(OpJumpTruthyKeep, 0, 0))
-		case isArrow(parts[1]):
-			if len(parts) != 3 {
-				return unsupportedf("bad cond => clause")
-			}
-			jNext := fc.emit(OpJumpFalsyPop, 0, 0)
-			if err := c.expr(fc, sc, parts[2], false); err != nil {
-				return err
-			}
-			fc.emit(OpSwap, 0, 0)
-			fc.emit(OpCall, 1, 0)
-			ends = append(ends, fc.emit(OpJump, 0, 0))
-			fc.patchA(jNext)
-		default:
-			jNext := fc.emit(OpJumpIfFalse, 0, 0)
-			if err := c.seq(fc, sc, parts[1:], tail); err != nil {
-				return err
-			}
-			ends = append(ends, fc.emit(OpJump, 0, 0))
-			fc.patchA(jNext)
-		}
-	}
-	fc.emit(OpUnspec, 0, 0)
-	for _, j := range ends {
-		fc.patchA(j)
-	}
-	return nil
-}
-
-func isArrow(v scheme.Value) bool {
-	s, ok := v.(scheme.Symbol)
-	return ok && s == "=>"
-}
-
-func (c *compiler) caseForm(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) error {
-	if len(rest) < 1 {
-		return unsupportedf("bad case")
-	}
-	if err := c.expr(fc, sc, rest[0], false); err != nil {
-		return err
-	}
+func (c *compiler) caseForm(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) {
+	c.expr(fc, sc, rest[0], false)
 	var ends []int
 	for _, cl := range rest[1:] {
-		parts, err := scheme.ListToSlice(cl)
-		if err != nil || len(parts) < 1 {
-			return unsupportedf("bad case clause")
-		}
-		if s, ok := parts[0].(scheme.Symbol); ok && s == "else" {
+		parts := list(cl)
+		if parts[0] == scheme.Symbol("else") {
 			fc.emit(OpPop, 0, 0)
-			if err := c.seq(fc, sc, parts[1:], tail); err != nil {
-				return err
-			}
+			c.seq(fc, sc, parts[1:], tail)
 			for _, j := range ends {
 				fc.patchA(j)
 			}
-			return nil
+			return
 		}
-		data, err := scheme.ListToSlice(parts[0])
-		if err != nil {
-			return unsupportedf("bad case datum list")
-		}
-		jNext := fc.emit(OpCaseMatch, fc.konst(data), 0)
-		if err := c.seq(fc, sc, parts[1:], tail); err != nil {
-			return err
-		}
+		jNext := fc.emit(OpCaseMatch, fc.konst(list(parts[0])), 0)
+		c.seq(fc, sc, parts[1:], tail)
 		ends = append(ends, fc.emit(OpJump, 0, 0))
 		fc.patchB(jNext)
 	}
@@ -781,108 +399,66 @@ func (c *compiler) caseForm(fc *fnCode, sc *scope, rest []scheme.Value, tail boo
 	for _, j := range ends {
 		fc.patchA(j)
 	}
-	return nil
 }
 
 // doLoop compiles (do ((v init step)...) (test result...) body...) with the
 // tree-walker's runtime shape: ONE frame reused across iterations (closures
 // made in the body share the live bindings), simultaneous step assignment,
 // and a backward branch — a safepoint — per iteration.
-func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
-	if len(rest) < 2 {
-		return unsupportedf("bad do")
-	}
-	specs, err := scheme.ListToSlice(rest[0])
-	if err != nil {
-		return unsupportedf("bad do")
-	}
-	type doVar struct {
-		name scheme.Symbol
-		step scheme.Value // nil = no step
-	}
-	vars := make([]doVar, len(specs))
-	for i, sp := range specs {
-		parts, err := scheme.ListToSlice(sp)
-		if err != nil || len(parts) < 2 || len(parts) > 3 {
-			return unsupportedf("bad do variable spec")
-		}
-		name, ok := parts[0].(scheme.Symbol)
-		if !ok {
-			return unsupportedf("bad do variable")
-		}
-		vars[i] = doVar{name: name}
+func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) {
+	specs := list(rest[0])
+	newSc := newScope(sc)
+	var stepped []int // slots with a step expression
+	var steps []scheme.Value
+	for _, sp := range specs {
+		parts := list(sp)
+		c.expr(fc, sc, parts[1], false)
+		slot := newSc.add(parts[0].(scheme.Symbol))
 		if len(parts) == 3 {
-			vars[i].step = parts[2]
-		}
-		if err := c.expr(fc, sc, parts[1], false); err != nil {
-			return err
+			stepped = append(stepped, slot)
+			steps = append(steps, parts[2])
 		}
 	}
-	testParts, err := scheme.ListToSlice(rest[1])
-	if err != nil || len(testParts) < 1 {
-		return unsupportedf("bad do test clause")
-	}
-	fc.emit(OpPushFrame, int32(len(vars)), int32(len(vars)))
-	newSc := newScope(sc, false)
-	for i, v := range vars {
-		newSc.names[v.name] = i
-	}
+	testParts := list(rest[1])
+	fc.emit(OpPushFrame, int32(len(specs)), int32(len(specs)))
 	top := int32(len(fc.ops))
-	if err := c.expr(fc, newSc, testParts[0], false); err != nil {
-		return err
-	}
+	c.expr(fc, newSc, testParts[0], false)
 	jBody := fc.emit(OpJumpIfFalse, 0, 0)
-	if err := c.seq(fc, newSc, testParts[1:], false); err != nil {
-		return err
-	}
+	c.seq(fc, newSc, testParts[1:], false)
 	fc.emit(OpPopFrame, 0, 0)
 	jEnd := fc.emit(OpJump, 0, 0)
 	fc.patchA(jBody)
 	for _, b := range rest[2:] {
-		if err := c.expr(fc, newSc, b, false); err != nil {
-			return err
-		}
+		c.expr(fc, newSc, b, false)
 		fc.emit(OpPop, 0, 0)
 	}
-	var stepped []int
-	for i, v := range vars {
-		if v.step == nil {
-			continue
-		}
-		if err := c.expr(fc, newSc, v.step, false); err != nil {
-			return err
-		}
-		stepped = append(stepped, i)
+	for _, s := range steps {
+		c.expr(fc, newSc, s, false)
 	}
 	for i := len(stepped) - 1; i >= 0; i-- {
 		fc.emit(OpInitSlot, int32(stepped[i]), -1)
 	}
 	fc.emit(OpJump, top, 0) // backward branch: per-iteration safepoint
 	fc.patchA(jEnd)
-	return nil
 }
 
 // fluidLet compiles nested single-binding extents: each init evaluates
 // inside the previous bindings' extents — the tree-walker's exact order.
-func (c *compiler) fluidLet(fc *fnCode, sc *scope, names []scheme.Symbol, inits []scheme.Value, body []scheme.Value) error {
+func (c *compiler) fluidLet(fc *fnCode, sc *scope, names []scheme.Symbol, inits []scheme.Value, body []scheme.Value) {
 	if len(names) == 0 {
-		return c.seq(fc, sc, body, false)
+		c.seq(fc, sc, body, false)
+		return
 	}
-	if err := c.expr(fc, sc, inits[0], false); err != nil {
-		return err
-	}
-	idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+	c.expr(fc, sc, inits[0], false)
+	idx := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) {
 		if len(names) == 1 {
-			return c.seq(sub, subSc, body, false)
+			c.seq(sub, subSc, body, false)
+			return
 		}
-		return c.fluidLet(sub, subSc, names[1:], inits[1:], body)
+		c.fluidLet(sub, subSc, names[1:], inits[1:], body)
 	})
-	if err != nil {
-		return err
-	}
 	fc.emit(OpClosure, idx, 0)
 	fc.emit(OpFluid, fc.konst(names[0]), 0)
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -913,279 +489,78 @@ type tupleSpec struct {
 	hasBody bool
 }
 
-func (c *compiler) tupleForm(fc *fnCode, sc *scope, head scheme.Symbol, rest []scheme.Value) error {
-	if len(rest) < 2 {
-		return unsupportedf("bad %s", head)
-	}
-	items, err := scheme.ListToSlice(rest[1])
-	if err != nil {
-		return unsupportedf("bad template")
-	}
-	spec := &tupleSpec{name: string(head), remove: head == "get"}
-	seen := map[string]bool{}
+func (c *compiler) tupleForm(fc *fnCode, sc *scope, head scheme.Symbol, rest []scheme.Value) {
+	spec := &tupleSpec{name: string(head), remove: head == "get", hasBody: len(rest) > 2}
 	var exprs []scheme.Value
-	for _, it := range items {
+	for _, it := range list(rest[1]) {
 		switch x := it.(type) {
 		case scheme.Symbol:
 			if len(x) > 0 && x[0] == '?' {
-				name := string(x[1:])
-				if seen[name] {
-					return unsupportedf("duplicate template formal ?%s", name)
-				}
-				seen[name] = true
-				spec.fields = append(spec.fields, tupleField{kind: fFormal, name: name})
-				spec.formals = append(spec.formals, name)
+				spec.fields = append(spec.fields, tupleField{kind: fFormal, name: string(x[1:])})
+				spec.formals = append(spec.formals, string(x[1:]))
 			} else {
 				spec.fields = append(spec.fields, tupleField{kind: fLit, lit: x})
 			}
 		case *scheme.Pair:
-			expr := scheme.Value(it)
-			if s, ok := x.Car.(scheme.Symbol); ok && s == "unquote" {
-				parts, err := scheme.ListToSlice(x.Cdr)
-				if err != nil || len(parts) != 1 {
-					return unsupportedf("bad template unquote")
-				}
-				expr = parts[0]
+			if isForm(x, "unquote") {
+				it = list(x.Cdr)[0]
 			}
 			spec.fields = append(spec.fields, tupleField{kind: fExpr})
-			exprs = append(exprs, expr)
+			exprs = append(exprs, it)
 		default:
 			spec.fields = append(spec.fields, tupleField{kind: fLit, lit: scheme.ToTupleValue(it)})
 		}
 	}
 	spec.nexpr = len(exprs)
-	spec.hasBody = len(rest) > 2
-	if err := c.expr(fc, sc, rest[0], false); err != nil {
-		return err
-	}
+	c.expr(fc, sc, rest[0], false)
 	for _, e := range exprs {
-		if err := c.expr(fc, sc, e, false); err != nil {
-			return err
-		}
+		c.expr(fc, sc, e, false)
 	}
 	if spec.hasBody {
 		params := make([]scheme.Symbol, len(spec.formals))
 		for i, f := range spec.formals {
 			params[i] = scheme.Symbol(f)
 		}
-		idx, err := c.procSub(fc, sc, "", params, "", rest[2:])
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
+		fc.emit(OpClosure, c.procSub(fc, sc, "", params, "", rest[2:]), 0)
 	}
 	fc.emit(OpTuple, fc.konst(spec), 0)
-	return nil
 }
 
 // ---------------------------------------------------------------------------
-// procedure bodies and internal defines
+// procedures
 
-// bodyItem is one flattened body element: an internal define or an
-// expression. Body-level begins splice, as they do under evalBody.
-type bodyItem struct {
-	define bool
-	name   scheme.Symbol
-	init   scheme.Value // nil → unspecified init
-	unspec bool         // an empty begin: evaluates to unspecified
-	expr   scheme.Value
+// lambda compiles the operands (params body...) of a lambda form to a
+// closure named name.
+func (c *compiler) lambda(fc *fnCode, sc *scope, name scheme.Symbol, rest []scheme.Value) {
+	params, restSym := must2(scheme.ParseParams(rest[0]))
+	fc.emit(OpClosure, c.procSub(fc, sc, name, params, restSym, rest[1:]), 0)
 }
 
-func flattenBody(forms []scheme.Value) ([]bodyItem, error) {
-	var items []bodyItem
-	for _, f := range forms {
-		p, ok := f.(*scheme.Pair)
-		if !ok {
-			items = append(items, bodyItem{expr: f})
-			continue
-		}
-		head, isSym := p.Car.(scheme.Symbol)
-		switch {
-		case isSym && head == "define":
-			rest, err := scheme.ListToSlice(p.Cdr)
-			if err != nil || len(rest) < 1 {
-				return nil, unsupportedf("bad define")
-			}
-			switch target := rest[0].(type) {
-			case scheme.Symbol:
-				it := bodyItem{define: true, name: target}
-				if len(rest) == 2 {
-					it.init = rest[1]
-				}
-				items = append(items, it)
-			case *scheme.Pair:
-				name, ok := target.Car.(scheme.Symbol)
-				if !ok {
-					return nil, unsupportedf("bad define")
-				}
-				lambda := scheme.Cons(scheme.Symbol("lambda"),
-					scheme.Cons(target.Cdr, scheme.List(rest[1:]...)))
-				items = append(items, bodyItem{define: true, name: name, init: lambda})
-			default:
-				return nil, unsupportedf("bad define")
-			}
-		case isSym && (head == "begin" || head == "block"):
-			sub, err := scheme.ListToSlice(p.Cdr)
-			if err != nil {
-				return nil, unsupportedf("bad begin")
-			}
-			if len(sub) == 0 {
-				items = append(items, bodyItem{unspec: true})
-				continue
-			}
-			flat, err := flattenBody(sub)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, flat...)
-		default:
-			items = append(items, bodyItem{expr: f})
-		}
-	}
-	return items, nil
-}
-
-// bodyItems flattens a body and checks the define-prefix rule: all internal
-// defines must precede the first expression (the compiled letrec*-style
-// slots match the tree-walker there; anything trickier falls back).
-func bodyItems(forms []scheme.Value) ([]bodyItem, []bodyItem, error) {
-	items, err := flattenBody(forms)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := 0
-	for n < len(items) && items[n].define {
-		n++
-	}
-	for _, it := range items[n:] {
-		if it.define {
-			return nil, nil, unsupportedf("define after expression in body")
-		}
-	}
-	return items, items[:n], nil
-}
-
-func addDefineSlots(sc *scope, defs []bodyItem, base int) {
-	for k, d := range defs {
-		sc.names[d.name] = base + k
-		sc.pending[d.name] = true
-	}
-}
-
-// compileBody emits a flattened body: define items initialize their slots
-// in order (clearing pending as they complete), expression items evaluate
-// for effect except the last, which is the body's value.
-func (c *compiler) compileBody(fc *fnCode, sc *scope, items []bodyItem, tail bool) error {
-	if len(items) == 0 {
-		fc.emit(OpUnspec, 0, 0)
-		return nil
-	}
-	for i, it := range items {
-		last := i == len(items)-1
-		switch {
-		case it.define:
-			if it.init != nil {
-				if err := c.expr(fc, sc, it.init, false); err != nil {
-					return err
-				}
-			} else {
-				fc.emit(OpUnspec, 0, 0)
-			}
-			fc.emit(OpInitSlot, int32(sc.names[it.name]), fc.konst(it.name))
-			delete(sc.pending, it.name)
-			if last {
-				fc.emit(OpUnspec, 0, 0)
-			}
-		case it.unspec:
-			fc.emit(OpUnspec, 0, 0)
-			if !last {
-				fc.emit(OpPop, 0, 0)
-			}
-		default:
-			if err := c.expr(fc, sc, it.expr, tail && last); err != nil {
-				return err
-			}
-			if !last {
-				fc.emit(OpPop, 0, 0)
-			}
-		}
-	}
-	return nil
-}
-
-// parseParams mirrors the tree-walker's parameter-list parser; malformed
-// lists decline (the tree-walker raises the matching runtime error).
-func parseParams(v scheme.Value) ([]scheme.Symbol, scheme.Symbol, error) {
-	var params []scheme.Symbol
-	for {
-		switch x := v.(type) {
-		case scheme.Symbol:
-			return params, x, nil // rest parameter
-		case *scheme.Pair:
-			s, ok := x.Car.(scheme.Symbol)
-			if !ok {
-				return nil, "", unsupportedf("bad parameter")
-			}
-			params = append(params, s)
-			v = x.Cdr
-		default:
-			if scheme.IsEmptyList(v) {
-				return params, "", nil
-			}
-			return nil, "", unsupportedf("bad parameter list")
-		}
-	}
-}
-
-// lambdaSub compiles a procedure from source params + body, returning its
-// Subs index.
-func (c *compiler) lambdaSub(fc *fnCode, sc *scope, name scheme.Symbol, paramsDatum scheme.Value, body []scheme.Value) (int32, error) {
-	params, restSym, err := parseParams(paramsDatum)
-	if err != nil {
-		return 0, err
-	}
-	return c.procSub(fc, sc, name, params, restSym, body)
-}
-
-// procSub compiles a procedure with known params (internal defines
-// allowed), returning its Subs index. restSym names the rest parameter
-// (slot NParams); empty means a fixed arity.
-func (c *compiler) procSub(fc *fnCode, sc *scope, name scheme.Symbol, params []scheme.Symbol, restSym scheme.Symbol, body []scheme.Value) (int32, error) {
-	items, defs, err := bodyItems(body)
-	if err != nil {
-		return 0, err
-	}
-	base := len(params)
-	if restSym != "" {
-		base++
-	}
+// procSub compiles a procedure with known params, returning its Subs
+// index. restSym names the rest parameter (slot NParams); empty means a
+// fixed arity.
+func (c *compiler) procSub(fc *fnCode, sc *scope, name scheme.Symbol, params []scheme.Symbol, restSym scheme.Symbol, body []scheme.Value) int32 {
 	sub := newFn(name, len(params), restSym != "")
-	sub.nslots = base + len(defs)
-	subSc := newScope(sc, true)
-	for i, p := range params {
-		subSc.names[p] = i
+	subSc := newScope(sc)
+	for _, p := range params {
+		subSc.add(p)
 	}
 	if restSym != "" {
-		subSc.names[restSym] = len(params)
+		subSc.add(restSym)
 	}
-	addDefineSlots(subSc, defs, base)
-	if err := c.compileBody(sub, subSc, items, true); err != nil {
-		return 0, err
-	}
+	c.body(sub, subSc, body, true)
+	sub.nslots = subSc.nslots
 	sub.emit(OpReturn, 0, 0)
 	fc.subs = append(fc.subs, sub.code())
-	return int32(len(fc.subs) - 1), nil
+	return int32(len(fc.subs) - 1)
 }
 
 // thunkSub compiles a nullary procedure whose body is generated by gen
 // (used by the forms that wrap their bodies as thunks).
-func (c *compiler) thunkSub(fc *fnCode, sc *scope, gen func(sub *fnCode, subSc *scope) error) (int32, error) {
+func (c *compiler) thunkSub(fc *fnCode, sc *scope, gen func(sub *fnCode, subSc *scope)) int32 {
 	sub := newFn("", 0, false)
-	subSc := newScope(sc, true)
-	if err := gen(sub, subSc); err != nil {
-		return 0, err
-	}
+	gen(sub, newScope(sc))
 	sub.emit(OpReturn, 0, 0)
 	fc.subs = append(fc.subs, sub.code())
-	return int32(len(fc.subs) - 1), nil
+	return int32(len(fc.subs) - 1)
 }

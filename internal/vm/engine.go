@@ -6,9 +6,8 @@ import (
 )
 
 // Engine is the bytecode execution engine for one interpreter. It compiles
-// each toplevel form on arrival and runs it on the stack machine, declining
-// (handled=false) anything the compiler does not cover so the interpreter
-// falls back to the tree-walking reference evaluator.
+// each expanded toplevel form on arrival and runs it on the stack machine;
+// the compiler covers the whole core language, so no form is declined.
 type Engine struct {
 	in *scheme.Interp
 }
@@ -21,18 +20,13 @@ func (e *Engine) Name() string { return "vm" }
 
 // EvalToplevel implements scheme.Engine: compile the datum, run it in a
 // fresh nullary activation over the global environment.
-func (e *Engine) EvalToplevel(ctx *core.Context, expr scheme.Value, env *scheme.Env) (scheme.Value, bool, error) {
-	if env != e.in.Global() {
-		return nil, false, nil // engines only compile against the global frame
-	}
+func (e *Engine) EvalToplevel(ctx *core.Context, expr scheme.Value) (scheme.Value, error) {
 	code, err := Compile(expr)
 	if err != nil {
-		fallbackForms.Add(1)
-		return nil, false, nil
+		return nil, err
 	}
 	compiledForms.Add(1)
-	v, err := e.exec(ctx, &Closure{Code: code, eng: e}, nil)
-	return v, true, err
+	return e.exec(ctx, &Closure{Code: code, eng: e}, nil)
 }
 
 func init() {

@@ -187,18 +187,8 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			} else {
 				pop()
 			}
-		case OpJumpFalsyPop:
-			if !scheme.IsTruthy(stack[len(stack)-1]) {
-				pop()
-				pc = int(ins.A)
-			}
 		case OpPop:
 			pop()
-		case OpDup:
-			push(stack[len(stack)-1])
-		case OpSwap:
-			n := len(stack)
-			stack[n-1], stack[n-2] = stack[n-2], stack[n-1]
 		case OpClosure:
 			in.AccountClosure(ctx)
 			sub := code.Subs[ins.A]

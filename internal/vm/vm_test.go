@@ -30,8 +30,7 @@ func evalOn(t *testing.T, in *scheme.Interp, src, want string) {
 }
 
 // parityPrograms run under both engines and must produce identical written
-// results. They cover every compiled form plus the declined ones (which
-// exercise the fallback path).
+// results. They cover every core form and every form the expander lowers.
 var parityPrograms = []struct{ src, want string }{
 	{`(+ 1 2)`, `3`},
 	{`(if #f 1)`, `#[unspecified]`},
@@ -72,7 +71,14 @@ var parityPrograms = []struct{ src, want string }{
 	{`(define (f) (define a 1) (define b (+ a 1)) (* a b)) (f)`, `2`},
 	{`(let ((x 5)) (define y 6) (+ x y))`, `11`},
 	{`'(a b . c)`, `(a b . c)`},
-	{"`(a ,(+ 1 2) ,@(list 3 4))", `(a 3 3 4)`}, // quasiquote: tree fallback
+	{"`(a ,(+ 1 2) ,@(list 3 4))", `(a 3 3 4)`},
+	{"`(1 `(2 ,(3 ,(+ 1 3))))", `(1 (quasiquote (2 (unquote (3 4)))))`},
+	{"`(a . ,(+ 1 2))", `(a . 3)`},
+	{"(let ((a 5)) (list `,a (car `(,a))))", `(5 5)`},
+	{`(define (g) (display "") (define y 2) (define (h) (* y 3)) (h)) (g)`, `6`},
+	{`(letrec* ((a 1) (b (+ a 1))) (list a b))`, `(1 2)`},
+	{`(let* () (define z 4) z)`, `4`},
+	{`(block 1 2)`, `2`},
 	{`(apply + 1 '(2 3))`, `6`},
 	{`(map + '(1 2) '(10 20))`, `(11 22)`},
 	{`(touch (future (+ 20 22)))`, `42`},
@@ -109,6 +115,7 @@ func TestEngineParity(t *testing.T) {
 		t.Fatalf("vm engine name = %s", got)
 	}
 	for _, p := range parityPrograms {
+		requireCompiles(t, p.src)
 		tv, terr := tree.EvalString(p.src)
 		vv, verr := vmIn.EvalString(p.src)
 		if (terr == nil) != (verr == nil) {
@@ -127,6 +134,27 @@ func TestEngineParity(t *testing.T) {
 	}
 }
 
+// requireCompiles checks the VM compiles every toplevel form of src once
+// expanded: no form is declined. FuzzEngines' corpus, the prelude and the
+// example programs get the same check in internal/scheme
+// (TestVMNeverDeclines).
+func requireCompiles(t *testing.T, src string) {
+	t.Helper()
+	data, err := scheme.ReadAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range data {
+		x, err := scheme.Expand(d)
+		if err != nil {
+			t.Fatalf("expand %s: %v", scheme.WriteString(d), err)
+		}
+		if _, err := vm.Compile(x); err != nil {
+			t.Fatalf("compile %s: %v", scheme.WriteString(d), err)
+		}
+	}
+}
+
 // stripThread drops the varying "thread N (name): " prefix the toplevel
 // runner wraps errors with, leaving the engine-produced message.
 func stripThread(msg string) string {
@@ -137,29 +165,50 @@ func stripThread(msg string) string {
 }
 
 // TestErrorParity checks the two engines produce the same error text for
-// runtime failures in compiled code.
+// runtime failures in compiled code and for malformed forms, which the
+// expander rejects with the tree-walker's messages. want, when set, is the
+// exact expected text.
 func TestErrorParity(t *testing.T) {
 	tree := newEngine(t, "tree", 1, 1)
 	vmIn := newEngine(t, "vm", 1, 1)
-	for _, src := range []string{
-		`(nosuchvar)`,
-		`nosuchvar`,
-		`(set! nosuch 1)`,
-		`(1 2)`,
-		`((lambda (x) x) 1 2)`,
-		`(define (f a b) a) (f 1)`,
-		`(car 1 2)`,
-		`(let ((m 5)) (with-mutex m 1))`,
-		`(spawn 17 (1))`,
-		`(get 17 (?x))`,
+	for _, c := range []struct{ src, want string }{
+		{`(nosuchvar)`, ""},
+		{`nosuchvar`, ""},
+		{`(set! nosuch 1)`, ""},
+		{`(1 2)`, ""},
+		{`((lambda (x) x) 1 2)`, ""},
+		{`(define (f a b) a) (f 1)`, ""},
+		{`(car 1 2)`, ""},
+		{`(let ((m 5)) (with-mutex m 1))`, ""},
+		{`(spawn 17 (1))`, ""},
+		{`(get 17 (?x))`, ""},
+		{`(let* x 1)`, "bad bindings: improper list ends in x"},
+		{`(cond 1)`, "cond: bad clause 1"},
+		{`(cond (#t => car cdr))`, "cond: bad => clause"},
+		{`(when)`, "bad form: (when)"},
+		{`(unless)`, "bad form: (unless)"},
+		{`(let loop)`, "bad form: (let loop)"},
+		{`(letrec ((1 2)) 3)`, "bad binding name: 1"},
+		{`(lambda (1) 1)`, "bad parameter: 1"},
+		{`(case 1 (2 'x))`, "case: bad datum list 2"},
+		{`(do ((i 0 1 2)) (#t))`, "do: bad variable spec (i 0 1 2)"},
+		{"`(a ,@1 b)", "unquote-splicing of non-list"},
+		{"`(a ,@(cons 1 2))", "unquote-splicing of non-list"},
+		{"`(a (unquote-splicing 1 2))", "bad unquote-splicing"},
+		{`(define (f) (if #t (define z 1)) z)`, "define: definition in expression context: (define z 1)"},
+		{`()`, "cannot evaluate ()"},
+		{`(+ 1 . 2)`, "improper argument list"},
 	} {
-		_, terr := tree.EvalString(src)
-		_, verr := vmIn.EvalString(src)
+		_, terr := tree.EvalString(c.src)
+		_, verr := vmIn.EvalString(c.src)
 		if terr == nil || verr == nil {
-			t.Fatalf("%s: expected errors, tree=%v vm=%v", src, terr, verr)
+			t.Fatalf("%s: expected errors, tree=%v vm=%v", c.src, terr, verr)
 		}
 		if stripThread(terr.Error()) != stripThread(verr.Error()) {
-			t.Errorf("%s:\n  tree: %v\n  vm:   %v", src, terr, verr)
+			t.Errorf("%s:\n  tree: %v\n  vm:   %v", c.src, terr, verr)
+		}
+		if c.want != "" && stripThread(verr.Error()) != c.want {
+			t.Errorf("%s: error %q, want %q", c.src, stripThread(verr.Error()), c.want)
 		}
 	}
 }
@@ -181,26 +230,6 @@ func TestDeepNonTailRecursion(t *testing.T) {
 	evalOn(t, in, `(define (sum n) (if (= n 0) 0 (+ n (sum (- n 1))))) (sum 100000)`, `5000050000`)
 }
 
-// TestFallbackCounts confirms the engine declines quasiquote to the
-// tree-walker and counts both paths.
-func TestFallbackCounts(t *testing.T) {
-	in := newEngine(t, "vm", 1, 1)
-	c0, f0, _ := vm.Stats()
-	evalOn(t, in, `(+ 1 1)`, `2`)
-	c1, f1, _ := vm.Stats()
-	if c1 != c0+1 || f1 != f0 {
-		t.Fatalf("compiled %d→%d fallback %d→%d after compiled form", c0, c1, f0, f1)
-	}
-	evalOn(t, in, "`(x ,(+ 1 1))", `(x 2)`)
-	c2, f2, _ := vm.Stats()
-	if f2 != f1+1 {
-		t.Fatalf("fallback %d→%d after quasiquote", f1, f2)
-	}
-	if c2 != c1 {
-		t.Fatalf("compiled moved on a declined form: %d→%d", c1, c2)
-	}
-}
-
 // TestEnginePrims covers (engine) and (compiled? p) on both engines.
 func TestEnginePrims(t *testing.T) {
 	vmIn := newEngine(t, "vm", 1, 1)
@@ -211,6 +240,10 @@ func TestEnginePrims(t *testing.T) {
 	evalOn(t, tree, `(define (f x) x) (compiled? f)`, `#f`)
 	evalOn(t, vmIn, `(compiled? car)`, `#f`)
 	evalOn(t, vmIn, `(procedure? (lambda (x) x))`, `#t`)
+	// eval expands and runs on the active engine too.
+	evalOn(t, vmIn, `(compiled? (eval '(lambda (x) x)))`, `#t`)
+	evalOn(t, tree, `(compiled? (eval '(lambda (x) x)))`, `#f`)
+	evalOn(t, vmIn, `(eval '(let* ((a 1) (b (+ a 1))) `+"`"+`(,a ,b)))`, `(1 2)`)
 }
 
 // TestCompiledProcedurePrinting: compiled closures print like tree closures,
@@ -232,9 +265,15 @@ func TestCompiledProcedurePrinting(t *testing.T) {
 // versa — Apply, map, and higher-order primitives all cross the boundary.
 func TestCrossEngineCalls(t *testing.T) {
 	in := newEngine(t, "vm", 1, 1)
-	// eval runs through the tree-walker; the lambda it returns is a tree
-	// closure that compiled code then applies.
-	evalOn(t, in, `(define tf (eval '(lambda (x) (* x 2)))) (tf 21)`, `42`)
+	// A tree closure built by the reference engine, applied from
+	// compiled code.
+	tree := newEngine(t, "tree", 1, 1)
+	tf, err := tree.EvalString(`(lambda (x) (* x 2))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Global().Define("tf", tf)
+	evalOn(t, in, `(tf 21)`, `42`)
 	// A compiled closure crossing into tree-driven apply/map.
 	evalOn(t, in, `(apply (lambda (a b) (+ a b)) '(20 22))`, `42`)
 	evalOn(t, in, `(map (lambda (x) (* x x)) '(1 2 3 4))`, `(1 4 9 16)`)
@@ -260,21 +299,42 @@ func TestDisassemble(t *testing.T) {
 	}
 }
 
-// TestPendingDefineDeclines: a body that reads a define slot before its
-// define runs must fall back (the tree-walker resolves it to the outer
-// binding), keeping the engines equivalent.
-func TestPendingDefineDeclines(t *testing.T) {
+// TestBodyDefineReadsLetrecSlot: a body's defines are one letrec*, so a
+// define read before its init sees the unspecified slot value — not the
+// outer binding of the same name — and both engines agree on it.
+func TestBodyDefineReadsLetrecSlot(t *testing.T) {
 	tree := newEngine(t, "tree", 1, 1)
 	vmIn := newEngine(t, "vm", 1, 1)
-	// The tree-walker evaluates defines sequentially, so b's init sees the
-	// outer a. The compiler declines rather than guessing.
-	src := `(define a 100) (define (f) (define b a) (define a 1) b) (f)`
-	tv, terr := tree.EvalString(src)
-	vv, verr := vmIn.EvalString(src)
-	if terr != nil || verr != nil {
-		t.Fatalf("tree err=%v vm err=%v", terr, verr)
+	for _, c := range []struct{ src, want string }{
+		{`(define a 100) (define (f) (define b a) (define a 1) b) (f)`, `#[unspecified]`},
+		{`(define (f) (define b (lambda () a)) (define a 1) (b)) (f)`, `1`},
+		{`(define (f) (define x 1) (set! x (+ x 1)) (define y (* x 10)) y) (f)`, `20`},
+		{`(define (f) (define x 1) (define x 2) x) (f)`, `2`},
+		{`(define (f) 'no-body-value (define x 1)) (f)`, `#[unspecified]`},
+	} {
+		evalOn(t, tree, c.src, c.want)
+		evalOn(t, vmIn, c.src, c.want)
 	}
-	if scheme.WriteString(tv) != scheme.WriteString(vv) {
-		t.Fatalf("tree=%s vm=%s", scheme.WriteString(tv), scheme.WriteString(vv))
+}
+
+// TestQuasiquoteHygiene: an expanded quasiquote calls the primitive values
+// it embeds, so rebinding cons, list and append leaves its result — and its
+// fresh pairs — unchanged on both engines.
+func TestQuasiquoteHygiene(t *testing.T) {
+	const src = "(define (qq x) `(a ,x ,@'(2 3) (b . ,x)))" +
+		"(define before (qq 1))" +
+		"(set! cons (lambda (a b) 'rebound))" +
+		"(set! list (lambda xs 'rebound))" +
+		"(set! append (lambda xs 'rebound))" +
+		"(define after (qq 1))"
+	for _, engine := range []string{"tree", "vm"} {
+		in := newEngine(t, engine, 1, 1)
+		if _, err := in.EvalString(src); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		evalOn(t, in, `before`, `(a 1 2 3 (b . 1))`)
+		evalOn(t, in, `after`, `(a 1 2 3 (b . 1))`)
+		evalOn(t, in, `(eq? (qq 1) (qq 1))`, `#f`)
+		evalOn(t, in, `(eq? (cdr (cdr (qq 1))) (cdr (cdr (qq 1))))`, `#f`)
 	}
 }

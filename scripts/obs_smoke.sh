@@ -55,7 +55,6 @@ for family in \
     sting_diag_wake_misses_total \
     sting_diag_recorder_events_total \
     sting_vm_compiled_forms_total \
-    sting_vm_fallback_forms_total \
     sting_vm_dispatch_ops_total \
     sting_trace_events; do
     if ! grep -q "^$family" <<<"$metrics"; then

@@ -556,8 +556,10 @@ var (
 // registers the "vm" engine; scheme.WithEngine selects one by name.
 var (
 	// NewVMEngineCollector exposes the sting_vm_* metric family
-	// (compiled/fallback form counts, dispatched instructions).
+	// (compiled toplevel forms, dispatched instructions).
 	NewVMEngineCollector = vmengine.NewCollector
-	// VMEngineStats snapshots the process-wide engine counters.
+	// VMEngineStats snapshots the process-wide engine counters
+	// (compiled, fallback, dispatched); fallback is always 0, since the
+	// engine compiles every expanded form.
 	VMEngineStats = vmengine.Stats
 )
