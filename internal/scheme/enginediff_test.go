@@ -221,6 +221,46 @@ func TestVMNeverDeclines(t *testing.T) {
 	}
 }
 
+// FuzzExpand: for any datum the reader produces, the expander never
+// panics; whatever it accepts uses only core-form heads in expression
+// position, and the VM compiles it — the no-decline guarantee on
+// arbitrary input, not just on the fixed sources above. Run longer with:
+// go test -run xxx -fuzz FuzzExpand -fuzztime 30s ./internal/scheme/
+func FuzzExpand(f *testing.F) {
+	for _, src := range []string{
+		"(let* ((a 1) (b a)) (cond ((= a b) => list) (else (when a b))))",
+		"(define (f . xs) (define y 1) (display y) (define z `(1 ,@xs ,y)) z)",
+		"(let loop ((i 0)) (unless (> i 3) (block (loop (+ i 1)))))",
+		"`(a `(b ,(c ,(d)) ,@e) . ,f)",
+		"(get ts (tag ,(let* () 1) ?x (cond (x))) (define q x) q)",
+		"(do ((i 0 (+ i 1))) ((= i 2) (case i ((1) `,i) (else 0))) (letrec ((g g)) g))",
+		"(named-lambda (f x) (fluid-let ((a (when 1 2))) (spawn ts ((cond)))))",
+		"(lambda () (if 1 (define x 2)))",
+		"(define p (delay (begin (define x 1) x)))",
+		"(cond (#f => f) (else (define y 1)))",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		data, err := scheme.ReadAll(src)
+		if err != nil {
+			return
+		}
+		for _, d := range data {
+			x, err := scheme.Expand(d)
+			if err != nil {
+				continue
+			}
+			if err := scheme.CoreOnly(x); err != nil {
+				t.Fatalf("Expand(%s) = %s: %v", scheme.WriteString(d), scheme.WriteString(x), err)
+			}
+			if _, err := vm.Compile(x); err != nil {
+				t.Fatalf("Expand(%s) = %s does not compile: %v", scheme.WriteString(d), scheme.WriteString(x), err)
+			}
+		}
+	})
+}
+
 // stripThreadDiff removes the varying "thread N (name): " error prefix —
 // thread IDs differ across fresh machines while the message must not.
 func stripThreadDiff(msg string) string {

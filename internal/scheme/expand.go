@@ -18,7 +18,10 @@ package scheme
 // define read before its init sees the letrec* slot's unspecified value,
 // not an outer binding of the same name. A define anywhere else inside a
 // lexical scope is a syntax error; at toplevel (outside every binding
-// form) a define is global wherever it sits.
+// form) a define is global wherever it sits. Two derived forms open a
+// scope of their own: the operand of delay (a nullary procedure body to
+// the tree-walker), and the clauses after a cond => clause (inside the
+// let that holds the test value).
 
 // expander lowers one form; rest is the form's operand list and local
 // reports whether a lexical scope encloses it.
@@ -64,7 +67,7 @@ func init() {
 		"when":         xWhen,
 		"unless":       xWhen,
 		"do":           xDo,
-		"delay":        operands(1, 1),
+		"delay":        xDelay,
 		"quasiquote":   xQuasiquote,
 
 		"fork-thread":        operands(1, 2),
@@ -107,23 +110,7 @@ func expand(x Value, local bool) (Value, error) {
 		return nil, Errorf("improper argument list")
 	}
 	out, err := expandAll(items, local)
-	return relist(x, out), err
-}
-
-// relist answers the list of items, reusing the pairs of orig — the list
-// they were expanded from — wherever its elements came back unchanged, so
-// expanding code that is core already allocates no new list structure.
-// Expand returns an atom as it is and a pair as itself when unchanged.
-func relist(orig Value, items []Value) Value {
-	p, ok := orig.(*Pair)
-	if !ok || len(items) == 0 {
-		return List(items...)
-	}
-	tail := relist(p.Cdr, items[1:])
-	if op, wasPair := p.Car.(*Pair); tail != p.Cdr || (wasPair && items[0] != Value(op)) {
-		return Cons(items[0], tail)
-	}
-	return p
+	return List(out...), err
 }
 
 // expandAll expands xs in place; every caller passes a slice it owns.
@@ -146,10 +133,7 @@ func operands(min, max int) expander {
 			return nil, badForm(form)
 		}
 		out, err := expandAll(rest, local)
-		if cdr := relist(form.Cdr, out); cdr != form.Cdr {
-			return Cons(form.Car, cdr), err
-		}
-		return form, err
+		return Cons(form.Car, List(out...)), err
 	}
 }
 
@@ -158,6 +142,12 @@ func xQuote(form *Pair, rest []Value, _ bool) (Value, error) {
 		return nil, badForm(form)
 	}
 	return form, nil
+}
+
+// xDelay expands the operand as in a scope of its own, the promise's
+// thunk, so a define there is an error rather than a global define.
+func xDelay(form *Pair, rest []Value, _ bool) (Value, error) {
+	return operands(1, 1)(form, rest, true)
 }
 
 func xBlock(_ *Pair, rest []Value, local bool) (Value, error) {
@@ -223,11 +213,7 @@ func xLambda(form *Pair, rest []Value, _ bool) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	orig := form.Cdr.(*Pair).Cdr
-	if b := relist(orig, body); b != orig || form.Car != symLambda {
-		return Cons(symLambda, Cons(rest[0], b)), nil
-	}
-	return form, nil
+	return Cons(symLambda, Cons(rest[0], List(body...))), nil
 }
 
 // expandBody lowers a procedure or binding-form body. Body-level begins

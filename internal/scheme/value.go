@@ -132,14 +132,7 @@ func List(items ...Value) Value {
 // ListToSlice flattens a proper list; it reports malformed (improper or
 // non-list) arguments.
 func ListToSlice(v Value) ([]Value, error) {
-	n := 0
-	for p, ok := v.(*Pair); ok; p, ok = p.Cdr.(*Pair) {
-		n++
-	}
 	var out []Value
-	if n > 0 {
-		out = make([]Value, 0, n)
-	}
 	for {
 		switch x := v.(type) {
 		case *emptyT:

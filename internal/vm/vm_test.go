@@ -44,6 +44,8 @@ var parityPrograms = []struct{ src, want string }{
 	{`(let loop ((i 0) (acc '())) (if (= i 4) (reverse acc) (loop (+ i 1) (cons i acc))))`, `(0 1 2 3)`},
 	{`(cond (#f 1) ((+ 1 1)) (else 3))`, `2`},
 	{`(cond ((assv 2 '((1 . a) (2 . b))) => cdr) (else 'none))`, `b`},
+	{`(cond (#f 1) (else (define y 7))) y`, `7`},
+	{`(define p (delay (+ 1 2))) (force p)`, `3`},
 	{`(cond (#f 1))`, `#[unspecified]`},
 	{`(case (* 2 3) ((2 3 5 7) 'prime) ((1 4 6 8 9) 'composite))`, `composite`},
 	{`(case 42 ((1) 'one) (else 'other))`, `other`},
@@ -196,6 +198,8 @@ func TestErrorParity(t *testing.T) {
 		{"`(a ,@(cons 1 2))", "unquote-splicing of non-list"},
 		{"`(a (unquote-splicing 1 2))", "bad unquote-splicing"},
 		{`(define (f) (if #t (define z 1)) z)`, "define: definition in expression context: (define z 1)"},
+		{`(define p (delay (define x 1)))`, "define: definition in expression context: (define x 1)"},
+		{`(cond (#f => car) (else (define y 1)))`, "define: definition in expression context: (define y 1)"},
 		{`()`, "cannot evaluate ()"},
 		{`(+ 1 . 2)`, "improper argument list"},
 	} {
