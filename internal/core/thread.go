@@ -327,6 +327,11 @@ func (t *Thread) determine(values []Value, err error) {
 	joiners := t.joiners
 	t.joiners = nil
 	t.tcb = nil
+	// A determined thread never runs again, and the thunk was read only
+	// by the goroutine that won the state transition out of Delayed or
+	// Scheduled, before determining it. Dropping the thunk lets a finished
+	// thread that its group still lists release the closure it ran.
+	t.thunk = nil
 	t.mu.Unlock()
 
 	if t.group != nil {

@@ -54,7 +54,7 @@ func WithDiag(d *diag.Diagnoser) Option { return func(in *Interp) { in.diag = d 
 // New creates an interpreter on vm with the full standard and STING
 // environment installed.
 func New(vm *core.VM, opts ...Option) *Interp {
-	in := &Interp{vm: vm, global: NewEnv(nil), out: os.Stdout,
+	in := &Interp{vm: vm, global: NewGlobalEnv(), out: os.Stdout,
 		store: persist.NewStore(vm.Space())}
 	for _, o := range opts {
 		o(in)

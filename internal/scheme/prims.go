@@ -41,12 +41,10 @@ func intOf(v Value) (int64, error) {
 	}
 }
 
-func foldNums(name string, args []Value, unitI int64,
+// foldNums folds args into acc, left to right: integers stay exact until a
+// float joins, then the fold continues in floating point.
+func foldNums(name string, acc Value, args []Value,
 	fi func(a, b int64) int64, ff func(a, b float64) float64) (Value, error) {
-	if len(args) == 0 {
-		return unitI, nil
-	}
-	acc := args[0]
 	accI, isI := acc.(int64)
 	accF, isF := acc.(float64)
 	if !isI && !isF {
@@ -58,7 +56,7 @@ func foldNums(name string, args []Value, unitI int64,
 	} else {
 		accF = float64(accI)
 	}
-	for _, a := range args[1:] {
+	for _, a := range args {
 		switch x := a.(type) {
 		case int64:
 			if float {
@@ -359,20 +357,21 @@ func installPrimitives(in *Interp) {
 
 	// Arithmetic.
 	in.prim("+", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("+", append([]Value{int64(0)}, a...), 0,
+		return foldNums("+", int64(0), a,
 			func(x, y int64) int64 { return x + y },
 			func(x, y float64) float64 { return x + y })
 	})
 	in.prim("*", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("*", append([]Value{int64(1)}, a...), 1,
+		return foldNums("*", int64(1), a,
 			func(x, y int64) int64 { return x * y },
 			func(x, y float64) float64 { return x * y })
 	})
 	in.prim("-", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		if len(a) == 1 {
-			a = []Value{int64(0), a[0]}
+		acc, rest := a[0], a[1:]
+		if len(rest) == 0 {
+			acc, rest = int64(0), a // negation
 		}
-		return foldNums("-", a, 0,
+		return foldNums("-", acc, rest,
 			func(x, y int64) int64 { return x - y },
 			func(x, y float64) float64 { return x - y })
 	})
@@ -465,7 +464,7 @@ func installPrimitives(in *Interp) {
 		return nil, Errorf("abs: not a number")
 	})
 	in.prim("min", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("min", a, 0,
+		return foldNums("min", a[0], a[1:],
 			func(x, y int64) int64 {
 				if y < x {
 					return y
@@ -475,7 +474,7 @@ func installPrimitives(in *Interp) {
 			math.Min)
 	})
 	in.prim("max", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("max", a, 0,
+		return foldNums("max", a[0], a[1:],
 			func(x, y int64) int64 {
 				if y > x {
 					return y
@@ -781,7 +780,7 @@ func installPrimitives(in *Interp) {
 		return Unspecified, nil
 	})
 	in.prim("error", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return nil, &Error{Message: DisplayString(a[0]), Irritants: a[1:]}
+		return nil, &Error{Message: DisplayString(a[0]), Irritants: append([]Value(nil), a[1:]...)}
 	})
 	in.prim("values", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		if len(a) == 1 {

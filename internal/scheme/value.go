@@ -90,7 +90,11 @@ type CompiledProc interface {
 	Compiled() bool
 }
 
-// PrimFn is the Go implementation of a primitive procedure.
+// PrimFn is the Go implementation of a primitive procedure. A primitive
+// borrows args: the slice is only valid during the call (the bytecode VM
+// passes a window of its operand stack), so a primitive that keeps it —
+// in a data structure, a thread's result, an error's irritants — must copy
+// it first, as vector and values do.
 type PrimFn func(in *Interp, ctx *core.Context, args []Value) (Value, error)
 
 // Primitive is a built-in procedure.

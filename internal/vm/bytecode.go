@@ -142,6 +142,10 @@ type Code struct {
 	NParams int
 	HasRest bool
 	NSlots  int // frame size: params (+ rest) + internal-define slots
+
+	// cells maps the Consts index of each global operand to the global
+	// cell it names; Engine.link fills it before the code first runs.
+	cells []*scheme.Cell
 }
 
 // Disassemble renders the code and its nested procedures for debugging.

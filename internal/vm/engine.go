@@ -26,7 +26,30 @@ func (e *Engine) EvalToplevel(ctx *core.Context, expr scheme.Value) (scheme.Valu
 		return nil, err
 	}
 	compiledForms.Add(1)
+	e.link(code)
 	return e.exec(ctx, &Closure{Code: code, eng: e}, nil)
+}
+
+// link resolves the global operands of code and its nested procedures to
+// their cells in the global environment, once, so a global access at run
+// time is one atomic load. A name not yet defined links to an unbound cell
+// that a later define fills in place.
+func (e *Engine) link(code *Code) {
+	g := e.in.Global()
+	for _, ins := range code.Ops {
+		switch ins.Op {
+		case OpGlobal, OpSetGlobal, OpDefGlobal:
+			if code.cells == nil {
+				code.cells = make([]*scheme.Cell, len(code.Consts))
+			}
+			if code.cells[ins.A] == nil {
+				code.cells[ins.A] = g.Cell(code.Consts[ins.A].(scheme.Symbol))
+			}
+		}
+	}
+	for _, sub := range code.Subs {
+		e.link(sub)
+	}
 }
 
 func init() {

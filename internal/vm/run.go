@@ -22,6 +22,49 @@ func (f *frame) at(depth int) *frame {
 	return f
 }
 
+// newFrame allocates a frame of n slots under parent. Up to eight slots,
+// the header and its slots are one object sized to n; a finished thread
+// keeps its frames alive, so no frame carries spare slots.
+func newFrame(parent *frame, n int) *frame {
+	type vals = scheme.Value
+	var f *frame
+	switch n {
+	case 0:
+		f = &frame{}
+	case 1:
+		f = inlineFrame(func(s *[1]vals) []vals { return s[:] })
+	case 2:
+		f = inlineFrame(func(s *[2]vals) []vals { return s[:] })
+	case 3:
+		f = inlineFrame(func(s *[3]vals) []vals { return s[:] })
+	case 4:
+		f = inlineFrame(func(s *[4]vals) []vals { return s[:] })
+	case 5:
+		f = inlineFrame(func(s *[5]vals) []vals { return s[:] })
+	case 6:
+		f = inlineFrame(func(s *[6]vals) []vals { return s[:] })
+	case 7:
+		f = inlineFrame(func(s *[7]vals) []vals { return s[:] })
+	case 8:
+		f = inlineFrame(func(s *[8]vals) []vals { return s[:] })
+	default:
+		f = &frame{slots: make([]scheme.Value, n)}
+	}
+	f.parent = parent
+	return f
+}
+
+// inlineFrame allocates a frame together with its slot array A; slice
+// answers the array as the frame's slots.
+func inlineFrame[A any](slice func(*A) []scheme.Value) *frame {
+	x := new(struct {
+		frame
+		s A
+	})
+	x.slots = slice(&x.s)
+	return &x.frame
+}
+
 // Closure is a compiled procedure: code plus its captured frame chain. It
 // implements scheme.Procedure, so the tree-walker — Apply, map, thread
 // thunks — calls it like any other procedure value.
@@ -51,7 +94,8 @@ func (c *Closure) callName() string {
 }
 
 // bindFrame builds the activation frame for a call, with the tree-walker's
-// exact arity errors.
+// exact arity errors. args may be a window of the caller's stack: the
+// frame copies what it keeps.
 func bindFrame(c *Closure, args []scheme.Value) (*frame, error) {
 	code := c.Code
 	if !code.HasRest {
@@ -63,19 +107,17 @@ func bindFrame(c *Closure, args []scheme.Value) (*frame, error) {
 		return nil, scheme.Errorf("%s: want at least %d arguments, got %d",
 			c.callName(), code.NParams, len(args))
 	}
-	slots := make([]scheme.Value, code.NSlots)
-	copy(slots, args[:code.NParams])
-	next := code.NParams
+	fr := newFrame(c.Env, code.NSlots)
+	slots := fr.slots
+	next := copy(slots, args[:code.NParams])
 	if code.HasRest {
-		rest := make([]scheme.Value, len(args)-code.NParams)
-		copy(rest, args[code.NParams:])
-		slots[next] = scheme.List(rest...)
+		slots[next] = scheme.List(args[code.NParams:]...)
 		next++
 	}
-	for i := next; i < code.NSlots; i++ {
+	for i := next; i < len(slots); i++ {
 		slots[i] = scheme.Unspecified
 	}
-	return &frame{slots: slots, parent: c.Env}, nil
+	return fr, nil
 }
 
 // nameValue gives an anonymous procedure the name its binding uses, as the
@@ -114,7 +156,9 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 	code := clo.Code
 	pc := 0
 	base := 0
-	var stack []scheme.Value
+	// One allocation holds the stack of a small procedure called from Go
+	// (map, apply, sort), which would otherwise grow it three times.
+	stack := make([]scheme.Value, 0, 4)
 	var calls []saved
 	var ops uint64
 	defer func() { dispatchOps.Add(ops) }()
@@ -147,23 +191,20 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			}
 			fr.slots[ins.A] = v
 		case OpGlobal:
-			sym := code.Consts[ins.A].(scheme.Symbol)
-			v, ok := in.Global().Lookup(sym)
+			v, ok := code.cells[ins.A].Load()
 			if !ok {
-				return nil, scheme.Errorf("unbound variable: %s", sym)
+				return nil, scheme.Errorf("unbound variable: %s", code.Consts[ins.A])
 			}
 			push(v)
 		case OpSetGlobal:
-			sym := code.Consts[ins.A].(scheme.Symbol)
-			if !in.Global().Set(sym, pop()) {
-				return nil, scheme.Errorf("set!: unbound variable %s", sym)
+			if !code.cells[ins.A].Set(pop()) {
+				return nil, scheme.Errorf("set!: unbound variable %s", code.Consts[ins.A])
 			}
 			push(scheme.Unspecified)
 		case OpDefGlobal:
-			sym := code.Consts[ins.A].(scheme.Symbol)
 			v := pop()
-			nameValue(v, sym)
-			in.Global().Define(sym, v)
+			nameValue(v, code.Consts[ins.A].(scheme.Symbol))
+			in.Global().DefineCell(code.cells[ins.A], v)
 			push(scheme.Unspecified)
 		case OpJump:
 			t := int(ins.A)
@@ -195,21 +236,22 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			push(&Closure{Code: sub, Env: fr, Name: sub.Name, eng: e})
 		case OpCall, OpTailCall:
 			in.Safepoint(ctx)
-			argc := int(ins.A)
-			fnAt := len(stack) - argc - 1
+			fnAt := len(stack) - int(ins.A) - 1
 			fn := stack[fnAt]
-			cargs := make([]scheme.Value, argc)
-			for i, a := range stack[fnAt+1:] {
+			// The arguments stay on the stack: a compiled callee's frame
+			// copies them, and a foreign callee borrows the window, capped
+			// so an append inside it cannot write over the stack.
+			args := stack[fnAt+1 : len(stack) : len(stack)]
+			for i, a := range args {
 				// Call sites collapse singleton multiple values, as the
 				// tree-walker's evalArgs does.
 				if mv, ok := a.(*scheme.MultiValues); ok && len(mv.Values) == 1 {
-					a = mv.Values[0]
+					args[i] = mv.Values[0]
 				}
-				cargs[i] = a
 			}
 			stack = stack[:fnAt]
 			if callee, ok := fn.(*Closure); ok && callee.eng == e {
-				nfr, err := bindFrame(callee, cargs)
+				nfr, err := bindFrame(callee, args)
 				if err != nil {
 					return nil, err
 				}
@@ -225,7 +267,7 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			// Foreign callee: a primitive, a tree closure, or another
 			// engine's procedure. A tail call degrades to a plain call —
 			// control always flows on to OpReturn.
-			v, err := e.callForeign(ctx, fn, cargs)
+			v, err := e.callForeign(ctx, fn, args)
 			if err != nil {
 				return nil, err
 			}
@@ -242,14 +284,13 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			push(v)
 		case OpPushFrame:
 			nslots, nstaged := int(ins.A), int(ins.B)
-			slots := make([]scheme.Value, nslots)
+			fr = newFrame(fr, nslots)
 			at := len(stack) - nstaged
-			copy(slots, stack[at:])
+			copy(fr.slots, stack[at:])
 			stack = stack[:at]
 			for i := nstaged; i < nslots; i++ {
-				slots[i] = scheme.Unspecified
+				fr.slots[i] = scheme.Unspecified
 			}
-			fr = &frame{slots: slots, parent: fr}
 		case OpPopFrame:
 			fr = fr.parent
 		case OpCaseMatch:

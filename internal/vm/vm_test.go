@@ -63,6 +63,10 @@ var parityPrograms = []struct{ src, want string }{
 	{`(do ((i 0 (+ i 1)) (v (make-vector 3))) ((= i 3) v) (vector-set! v i (* i i)))`, `#(0 1 4)`},
 	{`(define p (delay (begin 21 42))) (list (force p) (force p))`, `(42 42)`},
 	{`(define x 10) (set! x (+ x 1)) x`, `11`},
+	// Compiled code reads globals through linked cells: a later define or
+	// set! is seen by code compiled before it.
+	{`(define (f) (g)) (define (g) 1) (f) (define (g) 2) (f)`, `2`},
+	{`(define (h) late) (define late 'a) (set! late 'b) (h)`, `b`},
 	{`(define (counter) (let ((n 0)) (lambda () (set! n (+ n 1)) n)))
 	  (define c (counter)) (c) (c) (c)`, `3`},
 	{`((lambda args args) 1 2 3)`, `(1 2 3)`},
@@ -174,9 +178,9 @@ func TestErrorParity(t *testing.T) {
 	tree := newEngine(t, "tree", 1, 1)
 	vmIn := newEngine(t, "vm", 1, 1)
 	for _, c := range []struct{ src, want string }{
-		{`(nosuchvar)`, ""},
-		{`nosuchvar`, ""},
-		{`(set! nosuch 1)`, ""},
+		{`(nosuchvar)`, "unbound variable: nosuchvar"},
+		{`nosuchvar`, "unbound variable: nosuchvar"},
+		{`(set! nosuch 1)`, "set!: unbound variable nosuch"},
 		{`(1 2)`, ""},
 		{`((lambda (x) x) 1 2)`, ""},
 		{`(define (f a b) a) (f 1)`, ""},
