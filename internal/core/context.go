@@ -36,6 +36,25 @@ func (ctx *Context) VP() *VP { return ctx.tcb.vp.Load() }
 // VM returns the virtual machine the current VP belongs to.
 func (ctx *Context) VM() *VM { return ctx.VP().vm }
 
+// safepointInterval is how many safepoints a thread passes between
+// thread-controller polls: the evaluators' safe-point density.
+const safepointInterval = 256
+
+// Safepoint charges one evaluation step against the running thread's poll
+// budget and polls the thread controller every 256 steps. The Scheme
+// tree-walker takes one per evaluated node and the bytecode VM one per
+// call and backward branch, so preemption, stealing and timer-driven
+// requests fire with the same density under either engine. The budget is
+// an owner-only counter on the TCB: a safepoint costs an increment and a
+// test, with no shared memory traffic.
+func (ctx *Context) Safepoint() {
+	tcb := ctx.tcb
+	tcb.steps++
+	if tcb.steps%safepointInterval == 0 {
+		ctx.Poll()
+	}
+}
+
 // Poll is the lightweight TC entry: it honours a pending preemption and any
 // transition requests other threads have recorded for the current thread.
 // Long-running computations are expected to call Poll at safe points — the

@@ -53,9 +53,9 @@ func SnapshotThread(t *Thread) ThreadInfo {
 }
 
 // LiveThreadInfos snapshots every non-determined thread reachable from the
-// VM's root group, subgroups included. Determined threads linger in group
-// member lists until Reset, so the walk filters them out rather than
-// trusting membership.
+// VM's root group, subgroups included. A determining thread is marked
+// Determined before it leaves its group, so the walk filters on state
+// rather than trusting membership.
 func (vm *VM) LiveThreadInfos() []ThreadInfo {
 	threads := vm.rootGroup.AllThreads()
 	out := make([]ThreadInfo, 0, len(threads))

@@ -61,6 +61,7 @@ type TCB struct {
 	spanCtx obs.SpanContext // current trace context; owner-only, like fluid
 
 	polls    uint64 // owner-only TC-entry counter
+	steps    uint64 // owner-only safepoint counter; see Context.Safepoint
 	preempts uint64 // owner-only preemptions taken
 
 	dead bool // backing goroutine gone (runtime.Goexit); never recycle
@@ -95,8 +96,9 @@ func (tcb *TCB) Areas() *storage.AreaPair { return tcb.areas }
 // Polls returns the number of thread-controller entries this TCB has made;
 // preemption and transition requests are honoured at these points. Both
 // execution engines — the tree-walker and the bytecode VM — drive this
-// counter through the same shared safe-point budget, so the two produce the
-// same poll density for the same program.
+// counter through Context.Safepoint, which polls once every 256 steps of
+// the running thread, so the two produce the same poll density for the
+// same program.
 func (tcb *TCB) Polls() uint64 { return tcb.polls }
 
 // Preempts returns the number of preemptions this TCB has taken at its safe

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +75,16 @@ func TestGenealogy(t *testing.T) {
 		}
 		ThreadTerminate(b)
 		ctx.Wait(a)
+		ctx.Wait(b)
+		// Determined children leave the genealogy list.
+		if kids := me.Children(); len(kids) != 0 {
+			t.Errorf("children after both determined: %v", kids)
+		}
+		// My child group is empty, but I am live and may fork again: it
+		// stays linked under my own group.
+		if !slices.Contains(me.Group().Subgroups(), me.ChildGroup()) {
+			t.Error("a live thread's empty child group was unlinked")
+		}
 		return nil, nil
 	})
 	if err != nil {

@@ -4,28 +4,12 @@ import (
 	"repro/internal/core"
 )
 
-// pollBudget is how many evaluation steps run between thread-controller
-// polls — the interpreter's safe-point density.
-const pollBudget = 256
-
-// Safepoint charges one evaluation step against the machine-wide poll
-// budget and polls the thread controller when it elapses. The tree-walker
-// takes one per evaluated node; the bytecode VM takes one per call and
-// backward branch — both feed the same counter, so preemption, stealing
-// and timer-driven requests fire with the same density under either
-// engine.
-func (in *Interp) Safepoint(ctx *core.Context) {
-	if in.step()%pollBudget == 0 {
-		ctx.Poll()
-	}
-}
-
 // Eval evaluates expr in env on the STING thread behind ctx. Tail positions
 // iterate rather than recurse, so loops written as tail calls run in
 // constant Go stack.
 func (in *Interp) Eval(ctx *core.Context, expr Value, env *Env) (Value, error) {
 	for {
-		in.Safepoint(ctx)
+		ctx.Safepoint()
 		switch x := expr.(type) {
 		case Symbol:
 			if v, ok := env.Lookup(x); ok {

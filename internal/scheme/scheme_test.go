@@ -400,6 +400,24 @@ func TestGroupsFromScheme(t *testing.T) {
 	evalOK(t, in, src, "(determined determined)")
 }
 
+// TestGroupThreadsListsLiveOnly: a finished thread leaves its group, so
+// (group-threads g) lists only the live members.
+func TestGroupThreadsListsLiveOnly(t *testing.T) {
+	in := newInterp(t, 1, 1)
+	src := `
+(define (spin) (begin (yield-processor) (spin)))
+(let* ((live (fork-thread (spin)))
+       (done (fork-thread 'finished))
+       (g (thread-group (current-thread))))
+  (thread-wait done)
+  (let ((before (group-threads g)))
+    (kill-group g)
+    (thread-wait live)
+    (list (length before) (eq? (car before) live) (thread-state live)
+          (group-threads g))))`
+	evalOK(t, in, src, "(1 #t determined ())")
+}
+
 func TestWithoutPreemptionFromScheme(t *testing.T) {
 	in := newInterp(t, 1, 1)
 	evalOK(t, in, "(without-preemption (+ 1 2))", "3")

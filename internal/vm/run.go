@@ -209,7 +209,7 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 		case OpJump:
 			t := int(ins.A)
 			if t < pc {
-				in.Safepoint(ctx) // backward branch: loop safepoint
+				ctx.Safepoint() // backward branch: loop safepoint
 			}
 			pc = t
 		case OpJumpIfFalse:
@@ -235,7 +235,7 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			sub := code.Subs[ins.A]
 			push(&Closure{Code: sub, Env: fr, Name: sub.Name, eng: e})
 		case OpCall, OpTailCall:
-			in.Safepoint(ctx)
+			ctx.Safepoint()
 			fnAt := len(stack) - int(ins.A) - 1
 			fn := stack[fnAt]
 			// The arguments stay on the stack: a compiled callee's frame

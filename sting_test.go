@@ -185,10 +185,13 @@ func TestFacadeGroupTermination(t *testing.T) {
 		for len(parent.Children()) == 0 {
 			ctx.Yield()
 		}
+		// Children lists only live threads, so take the list before the
+		// terminations empty it.
+		kids := parent.Children()
 		parent.ChildGroup().Terminate()
 		ThreadTerminate(parent)
 		ctx.Wait(parent)
-		for _, c := range parent.Children() {
+		for _, c := range kids {
 			ctx.Wait(c)
 			if !c.Terminated() {
 				t.Error("child survived group termination")
