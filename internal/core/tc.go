@@ -65,10 +65,14 @@ func ThreadRun(t *Thread, vp *VP) error {
 	}
 }
 
-// scheduleThread hands a thread in Scheduled state to vp's policy manager.
+// scheduleThread hands a thread to vp's policy manager. A new thread
+// (EnqNew) moves from Delayed to Scheduled here; other callers pass one
+// already in Scheduled state.
 func scheduleThread(t *Thread, vp *VP, st EnqueueState) {
-	if st == EnqNew {
-		t.state.Store(int32(Scheduled))
+	// A new thread is reachable through its group and its parent before it
+	// is scheduled, so it may already have been terminated or stolen.
+	if st == EnqNew && !t.casState(Delayed, Scheduled) {
+		return
 	}
 	vp.stats.Scheduled.Add(1)
 	t.spanEvent("scheduled")
