@@ -15,12 +15,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# The fabric, cluster, tuple-space, and observability packages carry the
-# concurrency-critical paths (wire callbacks, cancel tokens, fan-out
-# racing, hash-bin locking, lock-free histograms, the trace ring); run
-# them under the race detector on every check.
+# The fabric, cluster, tuple-space, observability, diagnosis, and core
+# packages carry the concurrency-critical paths (wire callbacks, cancel
+# tokens, fan-out racing, hash-bin locking, lock-free histograms, the
+# event rings, park/wake); run them under the race detector, repeated, on
+# every check.
 race:
-	$(GO) test -race ./internal/remote/... ./internal/cluster/... ./internal/tspace/... ./internal/sio/... ./internal/obs/... ./internal/core/... ./internal/vm/...
+	$(GO) test -race -count=3 ./internal/remote/... ./internal/cluster/... ./internal/tspace/... ./internal/sio/... ./internal/obs/... ./internal/diag/... ./internal/core/... ./internal/vm/...
 
 check: build vet test race
 
@@ -35,7 +36,7 @@ sched-bench:
 # Rerun the scheduler table and fail on >10% ns/op regression against the
 # committed BENCH_sched.json baseline.
 bench-compare:
-	./scripts/bench_compare.sh
+	$(GO) run ./cmd/stingbench -table sched -compare BENCH_sched.json
 
 # Regenerate the remote fabric table (ping-pong RTTs + the Put
 # saturation sweep) and refresh the committed baseline. The
@@ -48,7 +49,7 @@ remote-bench:
 # Rerun the remote table and fail on >10% ns/op regression against the
 # committed BENCH_remote.json baseline (advisory in CI).
 remote-bench-compare:
-	./scripts/remote_compare.sh
+	$(GO) run ./cmd/stingbench -table remote -compare BENCH_remote.json
 
 # Boot stingd -http, scrape /metrics + /healthz + /debug/trace, grep for
 # the required metric families.
@@ -91,7 +92,7 @@ stm-bench:
 # Rerun the STM sweep and fail on >10% ns/op regression against the
 # committed BENCH_stm.json baseline (advisory in CI).
 stm-bench-compare:
-	./scripts/stm_compare.sh
+	$(GO) run ./cmd/stingbench -table stm -compare BENCH_stm.json
 
 # Boot a single-shard stingd, run (atomic ...) transfers from the sting
 # CLI over the wire, assert conservation and server-side stm metrics.
@@ -107,7 +108,7 @@ vm-bench:
 # Rerun the engine ablation and fail on >10% regression against the
 # committed BENCH_vm.json baseline (advisory in CI).
 vm-bench-compare:
-	./scripts/vm_compare.sh
+	$(GO) run ./cmd/stingbench -table vm -compare BENCH_vm.json
 
 # Run every Scheme example under both engines and require byte-identical
 # stdout; also assert the default engine is the VM.

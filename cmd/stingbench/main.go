@@ -20,6 +20,10 @@
 //	                         consumer, atomic transfers
 //	-table all               everything (default)
 //
+// -compare BENCH_<table>.json checks the rows of the one table just run
+// against the committed baseline's rows for that table and exits 1 when
+// one is more than 10% slower or missing (2 without a usable baseline).
+//
 // Absolute numbers will differ from the paper's 1992 MIPS R3000 (and this
 // substrate simulates VPs over goroutines); the claims under test are the
 // orderings and ratios — see EXPERIMENTS.md.
@@ -65,7 +69,12 @@ func main() {
 	jsonOut := flag.String("json", "", "also write results as JSON to this file")
 	spans := flag.Bool("spans", false, "install a span sink for the whole run (the overhead ablation); -table remote adds STING-thread-client rows traced off/on")
 	sample := flag.Bool("sample", false, "-table remote adds rows with the time-series sampler + SLO engine running at an aggressive 10ms interval (the sampler-overhead ablation)")
+	compareTo := flag.String("compare", "", "compare the -table rows against this baseline JSON file; exit 1 on a >10% ns/op regression or a missing row")
 	flag.Parse()
+	if *compareTo != "" && *table == "all" {
+		fmt.Fprintln(os.Stderr, "stingbench: -compare needs a single -table")
+		os.Exit(2)
+	}
 
 	if *spans {
 		// The instrumentation-present configuration: every StartSpan site
@@ -108,6 +117,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("stingbench: wrote %d results to %s\n", len(benchRecords), *jsonOut)
+	}
+	if *compareTo != "" {
+		os.Exit(compareBaseline(os.Stdout, *compareTo, *table, benchRecords))
 	}
 }
 

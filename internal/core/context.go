@@ -78,7 +78,7 @@ func (ctx *Context) Poll() {
 		tcb.preempts++
 		vp := tcb.vp.Load()
 		vp.stats.Preemptions.Add(1)
-		emit(TracePreempt, ctx.Thread().ID(), vpIndexOf(vp))
+		ctx.Thread().lifecycle(TracePreempt, vp)
 		tcb.yieldTo(EnqPreempted)
 		ctx.applyRequests()
 	}
@@ -141,7 +141,7 @@ func (ctx *Context) Yield() {
 	ctx.applyRequests()
 	vp := ctx.tcb.vp.Load()
 	vp.stats.Switches.Add(1)
-	emit(TraceYield, ctx.Thread().ID(), vpIndexOf(vp))
+	ctx.Thread().lifecycle(TraceYield, vp)
 	ctx.tcb.yieldTo(EnqYield)
 	ctx.applyRequests()
 }
@@ -154,8 +154,7 @@ func (ctx *Context) blockUntil(cond func() bool, st ExecState, enq EnqueueState)
 		ctx.applyRequests()
 		vp := tcb.vp.Load()
 		vp.stats.Blocks.Add(1)
-		ctx.Thread().spanEvent("block")
-		emit(TraceBlock, ctx.Thread().ID(), vpIndexOf(vp))
+		ctx.Thread().lifecycle(TraceBlock, vp)
 		tcb.parkWait(st)
 	}
 	ctx.applyRequests()
@@ -196,23 +195,24 @@ func (ctx *Context) BlockUntilDeadline(cond func() bool, deadline time.Time) boo
 	return cond()
 }
 
-// BlockSelf blocks the current thread on the given blocker description
-// until another thread wakes it with WakeThread/ThreadRun. The blocker is
-// recorded for debuggers only; the substrate imposes no protocol on it.
+// BlockSelf blocks the current thread until another thread applies
+// ThreadRun to it. A ThreadRun that arrived since the last one BlockSelf
+// or SuspendSelf consumed is pending and makes BlockSelf return at once:
+// requests take effect at the next TC entry, however early they land.
+// The blocker describes what the thread waits for; the substrate imposes
+// no protocol on it and does not keep it.
 func (ctx *Context) BlockSelf(blocker any) {
 	tcb := ctx.tcb
-	tcb.resumeRequested.Store(false)
-	_ = blocker
-	ctx.blockUntil(func() bool { return tcb.resumeRequested.Load() },
+	ctx.blockUntil(func() bool { return tcb.resumeRequested.Swap(false) },
 		ExecBlocked, EnqUserBlock)
 }
 
 // SuspendSelf suspends the current thread. With a positive quantum the
 // thread resumes when the period elapses; with zero it stays suspended
-// until another thread applies ThreadRun to it.
+// until another thread applies ThreadRun to it. A pending ThreadRun is
+// consumed as in BlockSelf.
 func (ctx *Context) SuspendSelf(quantum time.Duration) {
 	tcb := ctx.tcb
-	tcb.resumeRequested.Store(false)
 	var deadline time.Time
 	if quantum > 0 {
 		deadline = time.Now().Add(quantum)
@@ -220,10 +220,8 @@ func (ctx *Context) SuspendSelf(quantum time.Duration) {
 		defer timer.Stop()
 	}
 	ctx.blockUntil(func() bool {
-		if tcb.resumeRequested.Load() {
-			return true
-		}
-		return quantum > 0 && !time.Now().Before(deadline)
+		return tcb.resumeRequested.Swap(false) ||
+			quantum > 0 && !time.Now().Before(deadline)
 	}, ExecSuspended, EnqSuspended)
 }
 
@@ -293,8 +291,7 @@ func (ctx *Context) TrySteal(t *Thread) bool {
 	if t.vm != nil {
 		t.vm.stats.Steals.Add(1)
 	}
-	t.spanEvent("stolen")
-	emit(TraceSteal, t.id, vpIndexOf(vp))
+	t.lifecycle(TraceSteal, vp)
 	ctx.runStolen(t)
 	return true
 }

@@ -87,21 +87,14 @@ type TraceCollector struct {
 
 // Collect implements obs.Collector.
 func (c TraceCollector) Collect() []obs.Metric {
-	b := c.Buffer
-	if b == nil {
+	if c.Buffer == nil {
 		return nil
 	}
-	b.mu.Lock()
-	retained := b.next
-	if b.filled {
-		retained = len(b.events)
-	}
-	dropped, recorded := b.dropped, b.recorded
-	b.mu.Unlock()
+	s := c.Buffer.Stats()
 	return []obs.Metric{
-		obs.Gauge("sting_trace_events", "Events currently retained in the trace ring.", float64(retained)),
-		obs.Counter("sting_trace_recorded_total", "Events ever recorded into the trace ring.", float64(recorded)),
-		obs.Counter("sting_trace_dropped_total", "Oldest events overwritten by ring overflow.", float64(dropped)),
+		obs.Gauge("sting_trace_events", "Events currently retained in the trace ring.", float64(s.Retained)),
+		obs.Counter("sting_trace_recorded_total", "Events ever recorded into the trace ring.", float64(s.Recorded)),
+		obs.Counter("sting_trace_dropped_total", "Oldest events overwritten by ring overflow.", float64(s.Dropped)),
 	}
 }
 

@@ -3,7 +3,50 @@ package core
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// TestThreadRunBeforeBlockSelf: a ThreadRun that reaches a running thread
+// before it calls BlockSelf is a pending request, applied at that
+// thread's next TC entry, so BlockSelf returns at once instead of losing
+// the wakeup and parking for good.
+func TestThreadRunBeforeBlockSelf(t *testing.T) {
+	vm := testVM(t, 2, 2)
+	var running, ran, lost atomic.Bool
+	_, err := vm.Run(func(ctx *Context) ([]Value, error) {
+		target := ctx.Fork(func(c *Context) ([]Value, error) {
+			running.Store(true)
+			for !ran.Load() {
+				c.Yield()
+			}
+			c.BlockSelf("pre-woken")
+			return nil, nil
+		}, vm.VP(1), WithStealable(false), WithPinned())
+		for !running.Load() {
+			ctx.Yield()
+		}
+		if err := ThreadRun(target, ctx.VP()); err != nil {
+			return nil, err
+		}
+		ran.Store(true)
+		deadline := time.Now().Add(5 * time.Second)
+		for !target.Determined() && time.Now().Before(deadline) {
+			ctx.Yield()
+		}
+		if !target.Determined() {
+			lost.Store(true)
+			ThreadTerminate(target) // unpark it so the VM can shut down
+		}
+		ctx.Wait(target)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost.Load() {
+		t.Fatal("BlockSelf lost a ThreadRun that arrived before it parked")
+	}
+}
 
 // TestPingPongStress hammers the park/wake protocol: two threads on
 // different VPs alternate blocking and waking each other thousands of

@@ -75,8 +75,7 @@ func scheduleThread(t *Thread, vp *VP, st EnqueueState) {
 		return
 	}
 	vp.stats.Scheduled.Add(1)
-	t.spanEvent("scheduled")
-	emit(TraceSchedule, t.id, vp.index)
+	t.lifecycle(TraceSchedule, vp)
 	vp.pm.EnqueueThread(vp, t, st)
 	vp.NotifyWork()
 }

@@ -212,7 +212,7 @@ func (tcb *TCB) yieldTo(st EnqueueState) {
 // no-op for untraced or unbound TCBs.
 func (tcb *TCB) ThreadSpanEvent(name string) {
 	if t := tcb.thread.Load(); t != nil {
-		t.spanEvent(name)
+		t.span.Event(name)
 	}
 }
 
@@ -226,8 +226,7 @@ func wakeTCB(tcb *TCB, st EnqueueState) {
 				vp := tcb.vp.Load()
 				tcb.exec.Store(int32(ExecReady))
 				if t := tcb.thread.Load(); t != nil {
-					t.spanEvent("wake")
-					emit(TraceWake, t.ID(), vpIndexOf(vp))
+					t.lifecycle(TraceWake, vp)
 				}
 				vp.pm.EnqueueThread(vp, tcb, st)
 				vp.NotifyWork()

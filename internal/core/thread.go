@@ -170,7 +170,7 @@ func newThread(vm *VM, parent *Thread, thunk Thunk, opts ...ThreadOption) *Threa
 			t.spanCtx = s.Context()
 		}
 	}
-	emit(TraceCreate, t.id, -1)
+	t.lifecycle(TraceCreate, nil)
 	return t
 }
 
@@ -242,10 +242,6 @@ func (t *Thread) SpanContext() obs.SpanContext { return t.spanCtx }
 
 // Span returns the thread's genealogy-linked span (nil when untraced).
 func (t *Thread) Span() *obs.Span { return t.span }
-
-// spanEvent annotates the thread's span; a no-op for untraced threads
-// (one nil check), so scheduler transition sites call it unconditionally.
-func (t *Thread) spanEvent(name string) { t.span.Event(name) }
 
 // SetQuantumHint records a preemption quantum for the thread; policy
 // managers use it to stamp their default quantum on threads that have not
@@ -381,7 +377,7 @@ func (t *Thread) determine(values []Value, err error) {
 		}
 		t.span.End()
 	}
-	emit(TraceDetermine, t.id, -1)
+	t.lifecycle(TraceDetermine, nil)
 	wakeupWaiters(w)
 	for _, j := range joiners {
 		j.fire()
@@ -411,7 +407,7 @@ func (t *Thread) requestTransition(bit uint32, values []Value) {
 		t.mu.Lock()
 		t.reqValues = values
 		t.mu.Unlock()
-		emit(TraceTerminateReq, t.id, -1)
+		t.lifecycle(TraceTerminateReq, nil)
 	}
 	t.req.Or(bit)
 	t.mu.Lock()
@@ -419,7 +415,6 @@ func (t *Thread) requestTransition(bit uint32, values []Value) {
 	t.mu.Unlock()
 	if tcb != nil {
 		tcb.asyncReq.Store(true)
-		tcb.resumeRequested.Store(true)
 		wakeTCB(tcb, EnqUserBlock)
 	}
 }

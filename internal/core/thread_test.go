@@ -489,6 +489,27 @@ func TestWaitWordProperty(t *testing.T) {
 	}
 }
 
+// forkTree is a node of a random fork/wait tree: each child is created
+// lazily or forked eagerly.
+type forkTree struct {
+	lazy []bool
+	kids []*forkTree
+}
+
+// randomForkTree draws every lazy/eager choice up front, so the threads
+// that run the tree never share the generator.
+func randomForkTree(rng *rand.Rand, depth, width int) *forkTree {
+	n := &forkTree{}
+	if depth == 0 {
+		return n
+	}
+	for i := 0; i < width; i++ {
+		n.lazy = append(n.lazy, rng.Intn(2) == 0)
+		n.kids = append(n.kids, randomForkTree(rng, depth-1, width))
+	}
+	return n
+}
+
 // Property: random fork/wait trees always complete with the right value.
 func TestRandomForkTreeProperty(t *testing.T) {
 	vm := testVM(t, 4, 4)
@@ -496,19 +517,17 @@ func TestRandomForkTreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		depth := 1 + rng.Intn(4)
 		width := 1 + rng.Intn(3)
-		var build func(c *Context, d int) (int, error)
-		build = func(c *Context, d int) (int, error) {
-			if d == 0 {
-				return 1, nil
-			}
-			kids := make([]*Thread, width)
+		tree := randomForkTree(rng, depth, width)
+		var build func(c *Context, n *forkTree) (int, error)
+		build = func(c *Context, n *forkTree) (int, error) {
+			kids := make([]*Thread, len(n.kids))
 			for i := range kids {
-				lazy := rng.Intn(2) == 0
+				sub := n.kids[i]
 				thunk := func(cc *Context) ([]Value, error) {
-					n, err := build(cc, d-1)
-					return []Value{n}, err
+					v, err := build(cc, sub)
+					return []Value{v}, err
 				}
-				if lazy {
+				if n.lazy[i] {
 					kids[i] = c.CreateThread(thunk)
 				} else {
 					kids[i] = c.Fork(thunk, nil)
@@ -534,7 +553,7 @@ func TestRandomForkTreeProperty(t *testing.T) {
 		}
 		want = count(depth)
 		vals, err := vm.Run(func(ctx *Context) ([]Value, error) {
-			n, err := build(ctx, depth)
+			n, err := build(ctx, tree)
 			return []Value{n}, err
 		})
 		return err == nil && vals[0] == want

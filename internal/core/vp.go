@@ -218,8 +218,7 @@ func (vp *VP) dispatch(r Runnable) bool {
 			tcb.asyncReq.Store(true) // requests recorded before dispatch
 		}
 		vp.stats.Dispatches.Add(1)
-		x.spanEvent("evaluating")
-		emit(TraceDispatch, x.id, vp.index)
+		x.lifecycle(TraceDispatch, vp)
 		vp.host(tcb, x)
 		return true
 	case *TCB:
@@ -228,6 +227,8 @@ func (vp *VP) dispatch(r Runnable) bool {
 			return false // raced with completion; TCB already recycled
 		}
 		vp.stats.Dispatches.Add(1)
+		// A resumed TCB stays Evaluating: the tracer sees the dispatch,
+		// the span already carries the wake that led to it.
 		emit(TraceDispatch, t.id, vp.index)
 		vp.host(x, t)
 		return true

@@ -3,8 +3,9 @@ package diag
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The flight recorder: a fixed-size ring of diagnostic events kept at
@@ -24,15 +25,11 @@ type Event struct {
 	Count  uint64    `json:"count,omitempty"`
 }
 
-// Recorder is the ring. Record never blocks beyond its own mutex and
-// never allocates once the ring is warm; old events are overwritten.
+// Recorder is the ring: an obs.Ring of events. Record never blocks beyond
+// the ring's mutex and never allocates once the ring is warm; old events
+// are overwritten.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	added   uint64
-	dropped uint64
+	ring *obs.Ring[Event]
 }
 
 // NewRecorder builds a ring holding at most cap events.
@@ -40,7 +37,7 @@ func NewRecorder(cap int) *Recorder {
 	if cap <= 0 {
 		cap = 4096
 	}
-	return &Recorder{buf: make([]Event, cap)}
+	return &Recorder{ring: obs.NewRing[Event](cap)}
 }
 
 // Record appends ev, overwriting the oldest entry when full.
@@ -48,42 +45,18 @@ func (r *Recorder) Record(ev Event) {
 	if ev.T.IsZero() {
 		ev.T = time.Now()
 	}
-	r.mu.Lock()
-	if r.wrapped {
-		r.dropped++
-	}
-	r.buf[r.next] = ev
-	r.next++
-	r.added++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
+	r.ring.Record(ev)
 }
 
 // Stats reports how many events were recorded and how many the ring
 // has overwritten.
 func (r *Recorder) Stats() (added, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.added, r.dropped
+	s := r.ring.Stats()
+	return s.Recorded, s.Dropped
 }
 
 // Events returns the ring's contents, oldest first.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
+func (r *Recorder) Events() []Event { return r.ring.Snapshot() }
 
 // Tail returns the newest n events, oldest first.
 func (r *Recorder) Tail(n int) []Event {

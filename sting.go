@@ -438,7 +438,7 @@ type (
 	SpanContext = obs.SpanContext
 	// SpanKind classifies a span: internal, client, server.
 	SpanKind = obs.SpanKind
-	// SpanBuffer is a bounded lock-free ring of finished spans.
+	// SpanBuffer is a bounded ring of finished spans.
 	SpanBuffer = obs.SpanBuffer
 	// SpanCollector exposes a span ring's counters to an obs registry.
 	SpanCollector = obs.SpanCollector
